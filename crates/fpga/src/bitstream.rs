@@ -151,10 +151,46 @@ pub fn decode_header(word: u32) -> Result<PacketHeader, Error> {
     }
 }
 
+/// Reflected CRC-32 polynomial.
+const CRC_POLY: u32 = 0xEDB8_8320;
+
+/// Slicing-by-4 tables: `CRC_TABLES[k][b]` is the register after byte `b`
+/// is shifted through `8 * (k + 1)` bit steps.
+static CRC_TABLES: [[u32; 256]; 4] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 4] {
+    let mut tables = [[0u32; 256]; 4];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (CRC_POLY & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        tables[0][i] = crc;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 4 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
+}
+
 /// Running CRC accumulator used by both the builder and the ICAP.
 ///
 /// A CRC-32 (reflected 0xEDB88320 polynomial) folded over every frame payload
 /// word and FAR value — enough to catch the corruptions the tests inject.
+/// Each word is folded LSB-first through four table lookups, one per byte;
+/// CRC-32 is linear over GF(2), so this is bit-identical to the 32-step
+/// shift register of the definition, which the tests keep as reference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CrcAccumulator(u32);
 
@@ -165,13 +201,13 @@ impl CrcAccumulator {
     }
 
     /// Folds one word into the accumulator.
+    #[inline]
     pub fn update(&mut self, word: u32) {
-        let mut crc = self.0 ^ word;
-        for _ in 0..32 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-        self.0 = crc;
+        let [b0, b1, b2, b3] = (self.0 ^ word).to_le_bytes();
+        self.0 = CRC_TABLES[3][usize::from(b0)]
+            ^ CRC_TABLES[2][usize::from(b1)]
+            ^ CRC_TABLES[1][usize::from(b2)]
+            ^ CRC_TABLES[0][usize::from(b3)];
     }
 
     /// Current CRC value.
@@ -826,6 +862,67 @@ mod tests {
         a.update(1);
         b.update(2);
         assert_ne!(a.value(), b.value());
+    }
+
+    mod crc_reference {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// The bit-serial definition the tables are derived from: one
+        /// shift/xor step per bit, LSB first.
+        fn update_bitwise(crc: u32, word: u32) -> u32 {
+            let mut crc = crc ^ word;
+            for _ in 0..32 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (CRC_POLY & mask);
+            }
+            crc
+        }
+
+        #[test]
+        fn table_fold_matches_the_standard_crc32_check_vector() {
+            // "12345678" as two little-endian words.
+            let mut crc = CrcAccumulator::new();
+            crc.update(0x3433_3231);
+            crc.update(0x3837_3635);
+            assert_eq!(crc.value(), 0x9AE0_DAAF);
+        }
+
+        #[test]
+        fn table_fold_matches_reference_on_single_bit_words() {
+            for bit in 0..32 {
+                for start in [0, 0xFFFF_FFFF, 0x1234_5678] {
+                    let mut crc = CrcAccumulator(start);
+                    crc.update(1 << bit);
+                    assert_eq!(crc.0, update_bitwise(start, 1 << bit), "bit {bit}");
+                }
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// Arbitrary word streams with interleaved RCRC resets fold to
+            /// the same state under the tables and the bit loop.
+            #[test]
+            fn table_fold_matches_reference_over_streams_with_resets(
+                stream in proptest::collection::vec((0u32..u32::MAX, 0u32..16), 0..200),
+            ) {
+                let mut table = CrcAccumulator::new();
+                let mut reference = CrcAccumulator::new().0;
+                for (word, op) in stream {
+                    if op == 0 {
+                        table = CrcAccumulator::new();
+                        reference = CrcAccumulator::new().0;
+                    } else {
+                        table.update(word);
+                        reference = update_bitwise(reference, word);
+                    }
+                    prop_assert_eq!(table.0, reference);
+                }
+                prop_assert_eq!(table.value(), reference ^ 0xFFFF_FFFF);
+            }
+        }
     }
 
     #[test]

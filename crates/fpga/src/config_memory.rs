@@ -21,10 +21,41 @@ pub type Frame = Vec<u32>;
 /// A bit-exact copy of a set of frames and their check codes, used both as
 /// the per-tile golden store and as the pre-transaction image a failed
 /// reconfiguration rolls back to.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The store is sparse like [`ConfigMemory`] itself: a frame that was
+/// absent from the memory (erased: zero payload, zero check codes) is
+/// captured as `None` rather than as an explicit copy of zeros.
+#[derive(Debug, Clone, Eq)]
 pub struct RegionSnapshot {
-    frames: BTreeMap<FrameAddress, (Frame, FrameEcc)>,
+    frames: BTreeMap<FrameAddress, Option<(Frame, FrameEcc)>>,
     frame_words: usize,
+}
+
+/// `true` when a captured frame holds the erased state.
+fn is_erased(entry: &Option<(Frame, FrameEcc)>) -> bool {
+    entry.as_ref().is_none_or(|(data, ecc)| {
+        data.iter().all(|&w| w == 0) && (0..ecc.len()).all(|i| ecc.check(i) == 0)
+    })
+}
+
+/// Equality over the captured contents: an erased entry equals an
+/// explicit all-zero payload with all-zero check codes.
+impl PartialEq for RegionSnapshot {
+    fn eq(&self, other: &RegionSnapshot) -> bool {
+        self.frame_words == other.frame_words
+            && self.frames.len() == other.frames.len()
+            && self
+                .frames
+                .iter()
+                .zip(&other.frames)
+                .all(|((a, x), (b, y))| {
+                    a == b
+                        && match (x, y) {
+                            (Some(x), Some(y)) => x == y,
+                            _ => is_erased(x) && is_erased(y),
+                        }
+                })
+    }
 }
 
 impl RegionSnapshot {
@@ -266,11 +297,17 @@ impl ConfigMemory {
         &self,
         addrs: I,
     ) -> Result<RegionSnapshot, Error> {
-        let mut frames = BTreeMap::new();
-        for addr in addrs {
-            self.device.validate_frame(*addr)?;
-            frames.insert(*addr, (self.frame(*addr), self.frame_ecc(*addr)));
-        }
+        let frames = addrs
+            .into_iter()
+            .map(|addr| {
+                self.device.validate_frame(*addr)?;
+                let entry = self
+                    .frames
+                    .get(addr)
+                    .map(|data| (data.clone(), self.frame_ecc(*addr)));
+                Ok((*addr, entry))
+            })
+            .collect::<Result<_, Error>>()?;
         Ok(RegionSnapshot {
             frames,
             frame_words: self.frame_words,
@@ -284,14 +321,17 @@ impl ConfigMemory {
     /// Returns an error on the first invalid address (only possible when the
     /// snapshot came from a different device geometry).
     pub fn restore(&mut self, snap: &RegionSnapshot) -> Result<(), Error> {
-        for (addr, (data, ecc)) in &snap.frames {
+        for (addr, entry) in &snap.frames {
             self.device.validate_frame(*addr)?;
-            if data.iter().all(|&w| w == 0) {
-                self.frames.remove(addr);
-                self.ecc.remove(addr);
-            } else {
-                self.frames.insert(*addr, data.clone());
-                self.ecc.insert(*addr, ecc.clone());
+            match entry {
+                Some((data, ecc)) if data.iter().any(|&w| w != 0) => {
+                    self.frames.insert(*addr, data.clone());
+                    self.ecc.insert(*addr, ecc.clone());
+                }
+                _ => {
+                    self.frames.remove(addr);
+                    self.ecc.remove(addr);
+                }
             }
         }
         Ok(())
@@ -471,6 +511,108 @@ mod tests {
         assert_eq!(m.frame(a2), vec![4; words]);
         assert_eq!(m.scrub_frame(a1).unwrap(), FrameRepair::Clean);
         assert_eq!(m.scrub_frame(a2).unwrap(), FrameRepair::Clean);
+    }
+
+    /// Every observable of `addr`: payload, check codes and whether the
+    /// frame is materialized in the sparse map.
+    fn observe(m: &ConfigMemory, addr: FrameAddress) -> (Frame, FrameEcc, bool) {
+        (m.frame(addr), m.frame_ecc(addr), m.is_configured(addr))
+    }
+
+    /// Two CLB columns (so a shift between them keeps frame geometry)
+    /// and a mixed region in the first: configured frames, erased frames
+    /// and an SEU in a previously erased frame.
+    fn mixed_region(m: &mut ConfigMemory) -> (Vec<FrameAddress>, i64) {
+        use crate::fabric::ColumnKind;
+        let d = m.device().clone();
+        let clb: Vec<u32> = (0..d.columns())
+            .filter(|&i| d.column_kind(i) == ColumnKind::Clb)
+            .map(|i| i as u32)
+            .collect();
+        let (src, dst) = (clb[0], clb[3]);
+        let region: Vec<FrameAddress> = (0..6)
+            .map(|minor| FrameAddress::new(1, src, minor))
+            .collect();
+        let words = m.frame_words();
+        m.write_frame(region[0], (1..=words as u32).collect())
+            .unwrap();
+        m.write_frame(region[2], vec![0xCAFE_F00D; words]).unwrap();
+        m.corrupt_bit(region[2], 3, 9).unwrap();
+        m.corrupt_bit(region[4], 7, 30).unwrap();
+        (region, i64::from(dst) - i64::from(src))
+    }
+
+    #[test]
+    fn sparse_snapshot_restores_mixed_regions_bit_for_bit() {
+        let mut m = mem();
+        let (region, _) = mixed_region(&mut m);
+        let before: Vec<_> = region.iter().map(|&a| observe(&m, a)).collect();
+        let snap = m.snapshot(region.iter()).unwrap();
+        assert_eq!(snap.len(), region.len());
+        assert_eq!(snap.addresses(), region);
+        let words = m.frame_words();
+        for &addr in &region {
+            m.write_frame(addr, vec![0x5A5A_5A5A; words]).unwrap();
+        }
+        m.restore(&snap).unwrap();
+        let after: Vec<_> = region.iter().map(|&a| observe(&m, a)).collect();
+        assert_eq!(after, before);
+        // The SEUs survive as upsets: the restored codes still expose them.
+        assert_eq!(
+            m.scrub_frame(region[2]).unwrap(),
+            FrameRepair::Corrected { words: vec![3] }
+        );
+        assert_eq!(
+            m.scrub_frame(region[4]).unwrap(),
+            FrameRepair::Corrected { words: vec![7] }
+        );
+        assert!(!m.is_configured(region[4]));
+    }
+
+    #[test]
+    fn sparse_snapshot_survives_a_column_shift_bit_for_bit() {
+        let mut m = mem();
+        let (region, delta) = mixed_region(&mut m);
+        let before: Vec<_> = region.iter().map(|&a| observe(&m, a)).collect();
+        let shifted = m
+            .snapshot(region.iter())
+            .unwrap()
+            .shift_columns(m.device(), delta)
+            .unwrap();
+        m.clear_frames(region.iter()).unwrap();
+        m.restore(&shifted).unwrap();
+        let moved: Vec<FrameAddress> = shifted.addresses();
+        assert_eq!(moved.len(), region.len());
+        for (src, dst) in region.iter().zip(&moved) {
+            assert_eq!(i64::from(dst.column) - i64::from(src.column), delta);
+            assert_eq!((dst.row, dst.minor), (src.row, src.minor));
+            assert!(!m.is_configured(*src));
+        }
+        let after: Vec<_> = moved.iter().map(|&a| observe(&m, a)).collect();
+        assert_eq!(after, before);
+    }
+
+    #[test]
+    fn snapshot_equality_is_by_content() {
+        let mut m = mem();
+        let (region, _) = mixed_region(&mut m);
+        let snap = m.snapshot(region.iter()).unwrap();
+        assert_eq!(snap, m.snapshot(region.iter()).unwrap());
+        // Restoring into a fresh memory and re-capturing reproduces it.
+        let mut copy = mem();
+        copy.restore(&snap).unwrap();
+        assert_eq!(copy.snapshot(region.iter()).unwrap(), snap);
+        // Any difference in payload or check codes shows.
+        m.corrupt_bit(region[0], 0, 0).unwrap();
+        assert_ne!(m.snapshot(region.iter()).unwrap(), snap);
+        // An upset flipped back leaves an explicit all-zero frame in the
+        // map; its snapshot still equals that of the erased frame.
+        let addr = region[5];
+        let erased = m.snapshot(std::iter::once(&addr)).unwrap();
+        m.corrupt_bit(addr, 1, 1).unwrap();
+        m.corrupt_bit(addr, 1, 1).unwrap();
+        assert!(m.is_configured(addr));
+        assert_eq!(m.snapshot(std::iter::once(&addr)).unwrap(), erased);
     }
 
     #[test]

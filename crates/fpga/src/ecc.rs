@@ -13,6 +13,11 @@
 //! zero word encodes to a zero check code, so an all-zero (erased)
 //! frame with no stored ECC decodes clean — the sparse-map invariant
 //! of [`crate::config_memory::ConfigMemory`] costs nothing.
+//!
+//! Encoding and the decode syndrome are table-driven: one lookup per
+//! byte lane, XORed. Both the checks and the parity are linear in the
+//! data bits, so the tables are bit-identical to the bit-serial
+//! definition, which the tests keep as their reference.
 
 /// Number of Hamming check bits per 32-bit word.
 const CHECK_BITS: u32 = 6;
@@ -22,9 +27,9 @@ const CODE_TOP: u32 = 38;
 const PARITY_BIT: u8 = 1 << 6;
 
 /// Codeword position (1-based) of data bit `bit` (0-based LSB-first).
-fn data_position(bit: u32) -> u32 {
+const fn data_position(bit: u32) -> u32 {
     // Positions 1, 2, 4, 8, 16, 32 are check bits; data fills the rest
-    // in order. Precomputing the skip count keeps this branch-free-ish.
+    // in order.
     let mut pos = bit + 3; // positions 1 and 2 are always check bits
     if pos >= 4 {
         pos += 1;
@@ -50,22 +55,45 @@ fn position_data_bit(pos: u32) -> Option<u32> {
     Some(pos - 1 - skipped)
 }
 
-/// Hamming check bits (low 6 bits) for `word`.
-fn hamming_checks(word: u32) -> u8 {
-    let mut checks = 0u8;
-    for bit in 0..32 {
-        if word >> bit & 1 == 1 {
-            checks ^= (data_position(bit) & 0x3F) as u8;
+/// Per-byte-lane SECDED codes: `SECDED_TABLES[lane][b]` is the 7-bit code
+/// of the word holding byte `b` in lane `lane` and zeros elsewhere. The
+/// Hamming checks and the overall parity are both linear over GF(2), so
+/// the code of a word is the XOR of its four lane codes.
+static SECDED_TABLES: [[u8; 256]; 4] = secded_tables();
+
+const fn secded_tables() -> [[u8; 256]; 4] {
+    let mut tables = [[0u8; 256]; 4];
+    let mut lane = 0u32;
+    while lane < 4 {
+        let mut byte = 0u32;
+        while byte < 256 {
+            let mut checks = 0u8;
+            let mut bit = 0;
+            while bit < 8 {
+                if byte >> bit & 1 == 1 {
+                    checks ^= (data_position(8 * lane + bit) & 0x3F) as u8;
+                }
+                bit += 1;
+            }
+            let overall = (byte.count_ones() + checks.count_ones()) & 1;
+            tables[lane as usize][byte as usize] = checks | ((overall as u8) << CHECK_BITS);
+            byte += 1;
         }
+        lane += 1;
     }
-    checks
+    tables
 }
 
-/// Encodes one 32-bit word into its 7-bit SECDED check code.
+/// Encodes one 32-bit word into its 7-bit SECDED check code: the Hamming
+/// check bits in bits 0-5 and the overall parity of data plus checks in
+/// bit 6.
+#[inline]
 pub fn encode_word(word: u32) -> u8 {
-    let checks = hamming_checks(word);
-    let overall = (word.count_ones() + u32::from(checks).count_ones()) & 1;
-    checks | ((overall as u8) << CHECK_BITS)
+    let [b0, b1, b2, b3] = word.to_le_bytes();
+    SECDED_TABLES[0][usize::from(b0)]
+        ^ SECDED_TABLES[1][usize::from(b1)]
+        ^ SECDED_TABLES[2][usize::from(b2)]
+        ^ SECDED_TABLES[3][usize::from(b3)]
 }
 
 /// Outcome of decoding one word against its stored check code.
@@ -83,10 +111,14 @@ pub enum WordDecode {
 
 /// Decodes `word` against `stored`, classifying and correcting upsets.
 pub fn decode_word(word: u32, stored: u8) -> WordDecode {
-    let syndrome = u32::from(hamming_checks(word) ^ (stored & 0x3F));
-    let computed_parity = (word.count_ones() + u32::from(stored & 0x3F).count_ones()) & 1;
-    let stored_parity = u32::from(stored & PARITY_BIT != 0);
-    let parity_mismatch = computed_parity != stored_parity;
+    // `diff` holds the syndrome in bits 0-5 and, in bit 6, the parity of
+    // `word`, the *computed* checks and the stored parity bit. Adding the
+    // syndrome's own weight swaps computed checks for stored ones, so the
+    // overall parity over word, stored checks and stored parity bit is odd
+    // exactly when `diff` has odd weight.
+    let diff = (encode_word(word) ^ stored) & (PARITY_BIT | 0x3F);
+    let syndrome = u32::from(diff & 0x3F);
+    let parity_mismatch = diff.count_ones() & 1 == 1;
     match (syndrome, parity_mismatch) {
         (0, false) => WordDecode::Clean,
         // Only the overall parity bit flipped: data and checks intact.
@@ -196,8 +228,90 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The bit-serial Hamming checks: XOR of the codeword positions of
+    /// every set data bit.
+    fn hamming_checks_reference(word: u32) -> u8 {
+        let mut checks = 0u8;
+        for bit in 0..32 {
+            if word >> bit & 1 == 1 {
+                checks ^= (data_position(bit) & 0x3F) as u8;
+            }
+        }
+        checks
+    }
+
+    fn encode_reference(word: u32) -> u8 {
+        let checks = hamming_checks_reference(word);
+        let overall = (word.count_ones() + u32::from(checks).count_ones()) & 1;
+        checks | ((overall as u8) << CHECK_BITS)
+    }
+
+    /// SECDED decode written against the reference checks, parity
+    /// recomputed from the data word and the stored checks.
+    fn decode_reference(word: u32, stored: u8) -> WordDecode {
+        let syndrome = u32::from(hamming_checks_reference(word) ^ (stored & 0x3F));
+        let computed_parity = (word.count_ones() + u32::from(stored & 0x3F).count_ones()) & 1;
+        let stored_parity = u32::from(stored & PARITY_BIT != 0);
+        match (syndrome, computed_parity != stored_parity) {
+            (0, false) => WordDecode::Clean,
+            (0, true) => WordDecode::CorrectedCheck,
+            (s, true) => match position_data_bit(s) {
+                Some(bit) => WordDecode::CorrectedData {
+                    word: word ^ (1 << bit),
+                },
+                None if s.is_power_of_two() && s <= CODE_TOP => WordDecode::CorrectedCheck,
+                None => WordDecode::Uncorrectable,
+            },
+            (_, false) => WordDecode::Uncorrectable,
+        }
+    }
+
+    #[test]
+    fn lane_tables_match_reference_exhaustively() {
+        for lane in 0..4 {
+            for byte in 0..=255u32 {
+                let word = byte << (8 * lane);
+                assert_eq!(
+                    encode_word(word),
+                    encode_reference(word),
+                    "lane {lane} byte {byte:#04x}"
+                );
+            }
+        }
+        for bit in 0..32 {
+            assert_eq!(
+                encode_word(1 << bit),
+                encode_reference(1 << bit),
+                "bit {bit}"
+            );
+        }
+    }
+
+    #[test]
+    fn decode_matches_reference_for_every_stored_code() {
+        for word in [0, 1, 0x8000_0000, 0xA5F0_3C96, 0xFFFF_FFFF, 0x1234_5678] {
+            for stored in 0..=255u8 {
+                assert_eq!(
+                    decode_word(word, stored),
+                    decode_reference(word, stored),
+                    "word {word:#010x} stored {stored:#04x}"
+                );
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn table_codec_matches_reference(
+            words in proptest::collection::vec((0u32..u32::MAX, 0u8..255), 1..64),
+        ) {
+            for (word, stored) in words {
+                prop_assert_eq!(encode_word(word), encode_reference(word));
+                prop_assert_eq!(decode_word(word, stored), decode_reference(word, stored));
+            }
+        }
 
         #[test]
         fn encode_decode_is_identity_on_clean_frames(

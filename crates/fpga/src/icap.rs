@@ -287,9 +287,13 @@ impl Icap {
             }
             self.memory.write_frame(addr, chunk.to_vec())?;
             self.last_written.push(addr);
-            *shadow = chunk.to_vec();
             written += 1;
             addr = FrameAddress::new(addr.row, addr.column, addr.minor + 1);
+        }
+        // Only the burst's last frame is ever visible to MFWR.
+        if let Some(last) = payload.rchunks(self.frame_words).next() {
+            shadow.clear();
+            shadow.extend_from_slice(last);
         }
         *far = Some(addr);
         Ok(written)

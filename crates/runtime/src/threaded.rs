@@ -825,11 +825,18 @@ mod tests {
             ..supervised_policy()
         };
         let (mgr, tiles) = boot_with(1, policy, 1);
-        mgr.set_worker_fault_plan(Some(WorkerFaultPlan::scripted(&[(0, WorkerFault::Hang)])));
+        // A's claimant stalls for half a second before preparing, so the
+        // tile stays checked out while B and C arrive. (A hang would be
+        // stolen and redispatched at once, and the freed worker could
+        // finish A and claim B before C is submitted.)
+        mgr.set_worker_fault_plan(Some(WorkerFaultPlan::scripted(&[(
+            0,
+            WorkerFault::Stall { micros: 500_000 },
+        )])));
         let a = mgr.submit_reconfigure(tiles[0], AcceleratorKind::Mac);
-        // Once A is claimed (and hung) the queue is empty again; B fills
-        // the single slot and C finds the door closed.
-        wait_until(|| mgr.supervisor_stats().hangs_injected == 1);
+        // Once A is claimed (and stalled) the queue is empty again; B
+        // fills the single slot and C finds the door closed.
+        wait_until(|| mgr.supervisor_stats().stalls_injected == 1);
         let b = mgr.submit_reconfigure(tiles[0], AcceleratorKind::Sort);
         let err = mgr
             .submit_run(

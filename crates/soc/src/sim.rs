@@ -396,11 +396,10 @@ impl Soc {
         let snap = self
             .golden
             .get(&tile)
-            .cloned()
             .ok_or(Error::NoSuchTile { coord: tile })?;
         self.dfxc
             .config_memory_mut()
-            .restore(&snap)
+            .restore(snap)
             .map_err(Error::Fpga)?;
         Ok(snap.len())
     }
