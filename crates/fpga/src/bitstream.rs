@@ -154,12 +154,12 @@ pub fn decode_header(word: u32) -> Result<PacketHeader, Error> {
 /// Reflected CRC-32 polynomial.
 const CRC_POLY: u32 = 0xEDB8_8320;
 
-/// Slicing-by-4 tables: `CRC_TABLES[k][b]` is the register after byte `b`
+/// Slicing-by-8 tables: `CRC_TABLES[k][b]` is the register after byte `b`
 /// is shifted through `8 * (k + 1)` bit steps.
-static CRC_TABLES: [[u32; 256]; 4] = crc_tables();
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 
-const fn crc_tables() -> [[u32; 256]; 4] {
-    let mut tables = [[0u32; 256]; 4];
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -172,7 +172,7 @@ const fn crc_tables() -> [[u32; 256]; 4] {
         i += 1;
     }
     let mut k = 1;
-    while k < 4 {
+    while k < 8 {
         let mut i = 0;
         while i < 256 {
             let prev = tables[k - 1][i];
@@ -188,9 +188,12 @@ const fn crc_tables() -> [[u32; 256]; 4] {
 ///
 /// A CRC-32 (reflected 0xEDB88320 polynomial) folded over every frame payload
 /// word and FAR value — enough to catch the corruptions the tests inject.
-/// Each word is folded LSB-first through four table lookups, one per byte;
-/// CRC-32 is linear over GF(2), so this is bit-identical to the 32-step
+/// Each word is folded LSB-first through four table lookups, one per byte,
+/// and a run of words two at a time through eight ([`update_words`]);
+/// CRC-32 is linear over GF(2), so both are bit-identical to the 32-step
 /// shift register of the definition, which the tests keep as reference.
+///
+/// [`update_words`]: CrcAccumulator::update_words
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CrcAccumulator(u32);
 
@@ -208,6 +211,28 @@ impl CrcAccumulator {
             ^ CRC_TABLES[2][usize::from(b1)]
             ^ CRC_TABLES[1][usize::from(b2)]
             ^ CRC_TABLES[0][usize::from(b3)];
+    }
+
+    /// Folds a run of words, two per step: the register XORed with the
+    /// first word goes through the four upper tables (32 more bit steps
+    /// than a single word) and the second word through the four lower.
+    pub fn update_words(&mut self, words: &[u32]) {
+        let mut pairs = words.chunks_exact(2);
+        for pair in &mut pairs {
+            let [b0, b1, b2, b3] = (self.0 ^ pair[0]).to_le_bytes();
+            let [b4, b5, b6, b7] = pair[1].to_le_bytes();
+            self.0 = CRC_TABLES[7][usize::from(b0)]
+                ^ CRC_TABLES[6][usize::from(b1)]
+                ^ CRC_TABLES[5][usize::from(b2)]
+                ^ CRC_TABLES[4][usize::from(b3)]
+                ^ CRC_TABLES[3][usize::from(b4)]
+                ^ CRC_TABLES[2][usize::from(b5)]
+                ^ CRC_TABLES[1][usize::from(b6)]
+                ^ CRC_TABLES[0][usize::from(b7)];
+        }
+        if let [last] = pairs.remainder() {
+            self.update(*last);
+        }
     }
 
     /// Current CRC value.
@@ -244,9 +269,7 @@ impl Bitstream {
     /// CRC word the ICAP verifies during a load.
     fn stream_integrity(words: &[u32]) -> u32 {
         let mut crc = CrcAccumulator::new();
-        for &word in words {
-            crc.update(word);
-        }
+        crc.update_words(words);
         crc.value()
     }
 
@@ -482,9 +505,7 @@ impl Bitstream {
                             detail: format!("truncated packet: wanted {count} payload words"),
                         });
                     }
-                    for k in 0..count {
-                        crc.update(words[i + k]);
-                    }
+                    crc.update_words(&words[i..i + count]);
                     count
                 }
                 PacketHeader::Type1Write { reg, count } => {
@@ -523,11 +544,7 @@ impl Bitstream {
                             words[i] = packed;
                             crc.update(packed);
                         }
-                        ConfigReg::Fdri => {
-                            for k in 0..count {
-                                crc.update(words[i + k]);
-                            }
-                        }
+                        ConfigReg::Fdri => crc.update_words(&words[i..i + count]),
                         ConfigReg::Cmd if count == 1 => match Command::from_value(words[i]) {
                             Some(Command::Rcrc) => crc = CrcAccumulator::new(),
                             Some(Command::Desync) => synced = false,
@@ -608,7 +625,7 @@ impl BitstreamBuilder {
                 ),
             });
         }
-        self.frames.insert(addr, data); // presp-lint: allow — builder staging map, not live config memory
+        self.frames.insert(addr, data); // presp-analyze: allow — builder staging map, not live config memory
         Ok(())
     }
 
@@ -685,12 +702,11 @@ impl BitstreamBuilder {
                 words.push(type1_write(ConfigReg::Fdri, 0));
                 words.push(type2_write(payload_words as u32));
             }
+            let payload_start = words.len();
             for addr in run {
-                for &w in &self.frames[addr] {
-                    words.push(w);
-                    crc.update(w);
-                }
+                words.extend_from_slice(&self.frames[addr]);
             }
+            crc.update_words(&words[payload_start..]);
             i += 1;
         }
     }
@@ -725,10 +741,8 @@ impl BitstreamBuilder {
                 words.push(far);
                 crc.update(far);
                 words.push(type1_write(ConfigReg::Fdri, self.frame_words as u32));
-                for &w in frame {
-                    words.push(w);
-                    crc.update(w);
-                }
+                words.extend_from_slice(frame);
+                crc.update_words(frame);
             } else {
                 // Load the frame into the frame-data shadow register, switch
                 // to MFW and replay it at each address.
@@ -737,10 +751,8 @@ impl BitstreamBuilder {
                 words.push(far);
                 crc.update(far);
                 words.push(type1_write(ConfigReg::Fdri, self.frame_words as u32));
-                for &w in frame {
-                    words.push(w);
-                    crc.update(w);
-                }
+                words.extend_from_slice(frame);
+                crc.update_words(frame);
                 words.push(type1_write(ConfigReg::Cmd, 1));
                 words.push(Command::Mfw as u32);
                 for addr in &addrs[1..] {
@@ -921,6 +933,45 @@ mod tests {
                     prop_assert_eq!(table.0, reference);
                 }
                 prop_assert_eq!(table.value(), reference ^ 0xFFFF_FFFF);
+            }
+
+            /// Folding a run two words at a time equals folding it word
+            /// by word, for runs of any length (empty and odd included)
+            /// split at RCRC resets.
+            #[test]
+            fn run_fold_matches_word_fold_over_streams_with_resets(
+                stream in proptest::collection::vec((0u32..u32::MAX, 0u32..16), 0..200),
+            ) {
+                let runs: Vec<&[(u32, u32)]> = stream.split(|&(_, op)| op == 0).collect();
+                for run in runs {
+                    let words: Vec<u32> = run.iter().map(|&(w, _)| w).collect();
+                    for split in [0, words.len() / 2, words.len()] {
+                        let mut by_run = CrcAccumulator::new();
+                        by_run.update_words(&words[..split]);
+                        by_run.update_words(&words[split..]);
+                        let mut by_word = CrcAccumulator::new();
+                        for &w in &words {
+                            by_word.update(w);
+                        }
+                        prop_assert_eq!(by_run, by_word);
+                    }
+                }
+            }
+        }
+
+        #[test]
+        fn run_fold_matches_word_fold_on_short_runs() {
+            let words: Vec<u32> = (0..9u32)
+                .map(|i| 0x9E37_79B9u32.wrapping_mul(i + 1))
+                .collect();
+            for len in 0..=words.len() {
+                let mut by_run = CrcAccumulator::new();
+                by_run.update_words(&words[..len]);
+                let mut reference = CrcAccumulator::new().0;
+                for &w in &words[..len] {
+                    reference = update_bitwise(reference, w);
+                }
+                assert_eq!(by_run.0, reference, "run of {len} words");
             }
         }
     }

@@ -1,13 +1,20 @@
 //! Device configuration memory: the frame-addressable state the ICAP writes.
 //!
 //! This module is the **ECC doorway**: every legitimate frame mutation goes
-//! through [`ConfigMemory::write_frame`] (or [`ConfigMemory::restore`]),
-//! which keeps the per-frame SECDED shadow in [`crate::ecc`] consistent
-//! with the payload. The only path that bypasses the shadow on purpose is
+//! through [`ConfigMemory::write_frame`], [`ConfigMemory::erase_frame`] (or
+//! [`ConfigMemory::restore`] / [`ConfigMemory::clear_frames`]), which keep
+//! the per-frame SECDED shadow in [`crate::ecc`] consistent with the
+//! payload. The only path that bypasses the shadow on purpose is
 //! [`ConfigMemory::corrupt_bit`] — the SEU backdoor, which models an
 //! in-fabric upset precisely because it does *not* touch the check codes.
-//! `presp-lint` forbids direct `frames` map manipulation anywhere else in
-//! the crate.
+//! The `config-memory-doorway` rule of `presp-analyze` (`analyze.json`)
+//! forbids direct `frames`/`ecc` map manipulation anywhere else in the
+//! crate.
+//!
+//! The doorway is also where a reconfiguration becomes transactional: a
+//! [`ConfigMemory::begin_transaction`] journals the entry each doorway
+//! write displaces, so [`ConfigMemory::rollback`] can undo a failed load
+//! without a copy of the whole memory.
 
 use crate::ecc::{scrub_frame_words, FrameEcc, FrameRepair};
 use crate::error::Error;
@@ -18,22 +25,28 @@ use std::collections::BTreeMap;
 /// One configuration frame's payload.
 pub type Frame = Vec<u32>;
 
-/// A bit-exact copy of a set of frames and their check codes, used both as
-/// the per-tile golden store and as the pre-transaction image a failed
-/// reconfiguration rolls back to.
+/// A bit-exact copy of a set of frames and their check codes: the per-tile
+/// golden store and the source image of a region move.
 ///
-/// The store is sparse like [`ConfigMemory`] itself: a frame that was
-/// absent from the memory (erased: zero payload, zero check codes) is
-/// captured as `None` rather than as an explicit copy of zeros.
+/// The store is sparse like [`ConfigMemory`] itself: it keeps the captured
+/// addresses (sorted, deduplicated) and copies only the frames present in
+/// the memory; every other captured address was erased (zero payload,
+/// zero check codes).
 #[derive(Debug, Clone, Eq)]
 pub struct RegionSnapshot {
-    frames: BTreeMap<FrameAddress, Option<(Frame, FrameEcc)>>,
+    addresses: Vec<FrameAddress>,
+    /// The captured frames present in the memory, in address order: a
+    /// subsequence of `addresses`.
+    frames: Vec<(FrameAddress, Frame, FrameEcc)>,
     frame_words: usize,
 }
 
+/// A captured frame's payload and codes, `None` when it was erased.
+type Entry<'a> = Option<(&'a Frame, &'a FrameEcc)>;
+
 /// `true` when a captured frame holds the erased state.
-fn is_erased(entry: &Option<(Frame, FrameEcc)>) -> bool {
-    entry.as_ref().is_none_or(|(data, ecc)| {
+fn is_erased(entry: Entry<'_>) -> bool {
+    entry.is_none_or(|(data, ecc)| {
         data.iter().all(|&w| w == 0) && (0..ecc.len()).all(|i| ecc.check(i) == 0)
     })
 }
@@ -43,35 +56,42 @@ fn is_erased(entry: &Option<(Frame, FrameEcc)>) -> bool {
 impl PartialEq for RegionSnapshot {
     fn eq(&self, other: &RegionSnapshot) -> bool {
         self.frame_words == other.frame_words
-            && self.frames.len() == other.frames.len()
+            && self.addresses == other.addresses
             && self
-                .frames
-                .iter()
-                .zip(&other.frames)
-                .all(|((a, x), (b, y))| {
-                    a == b
-                        && match (x, y) {
-                            (Some(x), Some(y)) => x == y,
-                            _ => is_erased(x) && is_erased(y),
-                        }
+                .entries()
+                .zip(other.entries())
+                .all(|((_, x), (_, y))| match (x, y) {
+                    (Some(x), Some(y)) => x == y,
+                    _ => is_erased(x) && is_erased(y),
                 })
     }
 }
 
 impl RegionSnapshot {
-    /// Addresses captured by this snapshot.
+    /// Addresses captured by this snapshot, in address order.
     pub fn addresses(&self) -> Vec<FrameAddress> {
-        self.frames.keys().copied().collect()
+        self.addresses.clone()
     }
 
     /// Number of captured frames.
     pub fn len(&self) -> usize {
-        self.frames.len()
+        self.addresses.len()
     }
 
     /// `true` when no frames are captured.
     pub fn is_empty(&self) -> bool {
-        self.frames.is_empty()
+        self.addresses.is_empty()
+    }
+
+    /// Every captured address with its frame, in address order.
+    fn entries(&self) -> impl Iterator<Item = (FrameAddress, Entry<'_>)> {
+        let mut present = self.frames.iter().peekable();
+        self.addresses.iter().map(move |&addr| {
+            let entry = present
+                .next_if(|(a, ..)| *a == addr)
+                .map(|(_, data, ecc)| (data, ecc));
+            (addr, entry)
+        })
     }
 
     /// Returns a copy of this snapshot re-addressed `col_delta` columns
@@ -87,8 +107,11 @@ impl RegionSnapshot {
     /// Returns [`Error::BadFrameAddress`] when a shifted address leaves the
     /// fabric or lands on a column of a different kind.
     pub fn shift_columns(&self, device: &Device, col_delta: i64) -> Result<RegionSnapshot, Error> {
-        let mut frames = BTreeMap::new();
-        for (addr, entry) in &self.frames {
+        let shift = |addr: FrameAddress| {
+            let col = addr.column as i64 + col_delta;
+            FrameAddress::new(addr.row, col as u32, addr.minor)
+        };
+        for addr in &self.addresses {
             let col = addr.column as i64 + col_delta;
             if col < 0 || col as usize >= device.columns() {
                 return Err(Error::BadFrameAddress {
@@ -109,14 +132,38 @@ impl RegionSnapshot {
                     ),
                 });
             }
-            let new = FrameAddress::new(addr.row, col as u32, addr.minor);
-            device.validate_frame(new)?;
-            frames.insert(new, entry.clone());
+            device.validate_frame(shift(*addr))?;
         }
+        // Addresses order by (row, column, minor), so a uniform column
+        // shift keeps both lists sorted.
         Ok(RegionSnapshot {
-            frames,
+            addresses: self.addresses.iter().map(|&a| shift(a)).collect(),
+            frames: self
+                .frames
+                .iter()
+                .map(|(addr, data, ecc)| (shift(*addr), data.clone(), ecc.clone()))
+                .collect(),
             frame_words: self.frame_words,
         })
+    }
+}
+
+/// The entry a journaled write displaced: `None` where the map held
+/// nothing (an erased frame, or an upset erased frame's implicit code).
+#[derive(Debug, Clone)]
+struct Displaced {
+    addr: FrameAddress,
+    frame: Option<Frame>,
+    ecc: Option<FrameEcc>,
+}
+
+/// `true` when two stored payloads read back identically (absent reads
+/// as all-zero).
+fn same_payload(a: Option<&Frame>, b: Option<&Frame>) -> bool {
+    match (a, b) {
+        (Some(x), Some(y)) => x == y,
+        (Some(x), None) | (None, Some(x)) => x.iter().all(|&w| w == 0),
+        (None, None) => true,
     }
 }
 
@@ -139,6 +186,12 @@ impl RegionSnapshot {
 /// let addr = FrameAddress::new(0, 1, 0);
 /// mem.write_frame(addr, vec![0xDEAD_BEEF; mem.frame_words()])?;
 /// assert_eq!(mem.frame(addr)[0], 0xDEAD_BEEF);
+///
+/// // A transaction undoes every doorway write since it began.
+/// mem.begin_transaction();
+/// mem.erase_frame(addr)?;
+/// assert_eq!(mem.rollback(), 1);
+/// assert_eq!(mem.frame(addr)[0], 0xDEAD_BEEF);
 /// # Ok::<(), presp_fpga::Error>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -147,6 +200,11 @@ pub struct ConfigMemory {
     frame_words: usize,
     frames: BTreeMap<FrameAddress, Frame>,
     ecc: BTreeMap<FrameAddress, FrameEcc>,
+    /// Whether doorway writes are being journaled.
+    journaling: bool,
+    /// Entries displaced since [`ConfigMemory::begin_transaction`], oldest
+    /// first.
+    journal: Vec<Displaced>,
 }
 
 impl ConfigMemory {
@@ -157,6 +215,8 @@ impl ConfigMemory {
             frame_words: device.part().family().frame_words(),
             frames: BTreeMap::new(),
             ecc: BTreeMap::new(),
+            journaling: false,
+            journal: Vec::new(),
         }
     }
 
@@ -190,13 +250,102 @@ impl ConfigMemory {
         if data.iter().all(|&w| w == 0) {
             // All-zero equals the erased state; keep the map sparse. The
             // implicit check code of an erased frame is all-zero too.
-            self.frames.remove(&addr);
-            self.ecc.remove(&addr);
+            self.erase(addr);
         } else {
-            self.ecc.insert(addr, FrameEcc::encode(&data));
-            self.frames.insert(addr, data);
+            let ecc = FrameEcc::encode(&data);
+            self.install(addr, data, ecc);
         }
         Ok(())
+    }
+
+    /// Returns one frame to the erased state: the same as writing an
+    /// all-zero payload, without building one.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::BadFrameAddress`] if the address does not exist on
+    /// the device.
+    pub fn erase_frame(&mut self, addr: FrameAddress) -> Result<(), Error> {
+        self.device.validate_frame(addr)?;
+        self.erase(addr);
+        Ok(())
+    }
+
+    /// Stores `addr`'s payload and check codes, journaling what they
+    /// displace.
+    fn install(&mut self, addr: FrameAddress, data: Frame, ecc: FrameEcc) {
+        let frame = self.frames.insert(addr, data);
+        let ecc = self.ecc.insert(addr, ecc);
+        if self.journaling {
+            self.journal.push(Displaced { addr, frame, ecc });
+        }
+    }
+
+    /// Drops `addr` from both maps, journaling what was there (an already
+    /// erased frame displaces nothing and records nothing).
+    fn erase(&mut self, addr: FrameAddress) {
+        let frame = self.frames.remove(&addr);
+        let ecc = self.ecc.remove(&addr);
+        if self.journaling && (frame.is_some() || ecc.is_some()) {
+            self.journal.push(Displaced { addr, frame, ecc });
+        }
+    }
+
+    /// Opens a transaction: from here on every doorway write
+    /// ([`write_frame`], [`erase_frame`], [`restore`], [`clear_frames`])
+    /// journals the entry it displaces, moved out of the map rather than
+    /// copied. An upset ([`corrupt_bit`]) and the in-place repair of
+    /// [`scrub_frame`] bypass the journal, so rollback restores the
+    /// pre-transaction image exactly when neither runs inside the
+    /// transaction (the SoC opens one only around an ICAP load).
+    ///
+    /// [`write_frame`]: ConfigMemory::write_frame
+    /// [`erase_frame`]: ConfigMemory::erase_frame
+    /// [`restore`]: ConfigMemory::restore
+    /// [`clear_frames`]: ConfigMemory::clear_frames
+    /// [`corrupt_bit`]: ConfigMemory::corrupt_bit
+    /// [`scrub_frame`]: ConfigMemory::scrub_frame
+    pub fn begin_transaction(&mut self) {
+        self.journal.clear();
+        self.journaling = true;
+    }
+
+    /// Closes the open transaction, keeping its writes.
+    pub fn commit(&mut self) {
+        self.journaling = false;
+        self.journal.clear();
+    }
+
+    /// Closes the open transaction and undoes its writes, payload and
+    /// check codes bit-exact, by replaying the journal in reverse.
+    ///
+    /// Returns the number of frames whose payload the transaction had
+    /// changed: what [`ConfigMemory::diff`] between the pre-transaction
+    /// image and the memory before the rollback would report.
+    pub fn rollback(&mut self) -> usize {
+        self.journaling = false;
+        let mut journal = std::mem::take(&mut self.journal);
+        // The first entry journaled for an address holds its
+        // pre-transaction state; the stable sort keeps it first.
+        let mut first: Vec<&Displaced> = journal.iter().collect();
+        first.sort_by_key(|d| d.addr);
+        first.dedup_by_key(|d| d.addr);
+        let dirty = first
+            .iter()
+            .filter(|d| !same_payload(d.frame.as_ref(), self.frames.get(&d.addr)))
+            .count();
+        for Displaced { addr, frame, ecc } in journal.drain(..).rev() {
+            match frame {
+                Some(data) => self.frames.insert(addr, data),
+                None => self.frames.remove(&addr),
+            };
+            match ecc {
+                Some(codes) => self.ecc.insert(addr, codes),
+                None => self.ecc.remove(&addr),
+            };
+        }
+        self.journal = journal;
+        dirty
     }
 
     /// Reads back one frame (all-zero if never written).
@@ -272,12 +421,10 @@ impl ConfigMemory {
             // Erased frames are implicitly clean (zero payload, zero code).
             return Ok(FrameRepair::Clean);
         };
-        let ecc = self
-            .ecc
-            .get(&addr)
-            .cloned()
-            .unwrap_or_else(|| FrameEcc::erased(self.frame_words));
-        let repair = scrub_frame_words(frame, &ecc);
+        let repair = match self.ecc.get(&addr) {
+            Some(ecc) => scrub_frame_words(frame, ecc),
+            None => scrub_frame_words(frame, &FrameEcc::erased(self.frame_words)),
+        };
         if matches!(repair, FrameRepair::Corrected { .. }) {
             // Re-latch both sides of the doorway: a repaired frame gets a
             // fresh code, and a frame repaired back to all-zero returns to
@@ -288,7 +435,12 @@ impl ConfigMemory {
         Ok(repair)
     }
 
-    /// Captures a bit-exact snapshot (payload + check codes) of `addrs`.
+    /// Captures a bit-exact snapshot (payload + check codes) of `addrs`,
+    /// in any order and with duplicates.
+    ///
+    /// The addresses are sorted (a region is a few ascending runs, which
+    /// the stable sort merges in linear time) and then joined in one pass
+    /// with the stored frames of their address range.
     ///
     /// # Errors
     ///
@@ -297,18 +449,24 @@ impl ConfigMemory {
         &self,
         addrs: I,
     ) -> Result<RegionSnapshot, Error> {
-        let frames = addrs
+        let mut addresses = addrs
             .into_iter()
-            .map(|addr| {
-                self.device.validate_frame(*addr)?;
-                let entry = self
-                    .frames
-                    .get(addr)
-                    .map(|data| (data.clone(), self.frame_ecc(*addr)));
-                Ok((*addr, entry))
-            })
-            .collect::<Result<_, Error>>()?;
+            .map(|&addr| self.device.validate_frame(addr).map(|()| addr))
+            .collect::<Result<Vec<_>, Error>>()?;
+        addresses.sort();
+        addresses.dedup();
+        let mut frames = Vec::new();
+        if let (Some(&first), Some(&last)) = (addresses.first(), addresses.last()) {
+            let mut wanted = addresses.iter().peekable();
+            for (&addr, data) in self.frames.range(first..=last) {
+                while wanted.next_if(|&&w| w < addr).is_some() {}
+                if wanted.next_if_eq(&&addr).is_some() {
+                    frames.push((addr, data.clone(), self.frame_ecc(addr)));
+                }
+            }
+        }
         Ok(RegionSnapshot {
+            addresses,
             frames,
             frame_words: self.frame_words,
         })
@@ -321,17 +479,13 @@ impl ConfigMemory {
     /// Returns an error on the first invalid address (only possible when the
     /// snapshot came from a different device geometry).
     pub fn restore(&mut self, snap: &RegionSnapshot) -> Result<(), Error> {
-        for (addr, entry) in &snap.frames {
-            self.device.validate_frame(*addr)?;
+        for (addr, entry) in snap.entries() {
+            self.device.validate_frame(addr)?;
             match entry {
                 Some((data, ecc)) if data.iter().any(|&w| w != 0) => {
-                    self.frames.insert(*addr, data.clone());
-                    self.ecc.insert(*addr, ecc.clone());
+                    self.install(addr, data.clone(), ecc.clone());
                 }
-                _ => {
-                    self.frames.remove(addr);
-                    self.ecc.remove(addr);
-                }
+                _ => self.erase(addr),
             }
         }
         Ok(())
@@ -347,9 +501,7 @@ impl ConfigMemory {
         addrs: I,
     ) -> Result<(), Error> {
         for addr in addrs {
-            self.device.validate_frame(*addr)?;
-            self.frames.remove(addr);
-            self.ecc.remove(addr);
+            self.erase_frame(*addr)?;
         }
         Ok(())
     }
@@ -623,5 +775,149 @@ mod tests {
         m.write_frame(addr, vec![5; m.frame_words()]).unwrap();
         m.restore(&snap).unwrap();
         assert!(!m.is_configured(addr));
+    }
+
+    /// The per-address construction the merge join replaced: one map
+    /// lookup per captured address.
+    fn snapshot_per_address(m: &ConfigMemory, addrs: &[FrameAddress]) -> RegionSnapshot {
+        let captured: BTreeMap<FrameAddress, Option<(Frame, FrameEcc)>> = addrs
+            .iter()
+            .map(|&addr| {
+                let entry = m
+                    .frames
+                    .get(&addr)
+                    .map(|data| (data.clone(), m.frame_ecc(addr)));
+                (addr, entry)
+            })
+            .collect();
+        RegionSnapshot {
+            addresses: captured.keys().copied().collect(),
+            frames: captured
+                .into_iter()
+                .filter_map(|(addr, entry)| entry.map(|(data, ecc)| (addr, data, ecc)))
+                .collect(),
+            frame_words: m.frame_words,
+        }
+    }
+
+    /// A payload derived from `v`: all-zero for `v == 0`.
+    fn payload(m: &ConfigMemory, v: u32) -> Frame {
+        (1..=m.frame_words() as u32)
+            .map(|i| v.wrapping_mul(i))
+            .collect()
+    }
+
+    #[test]
+    fn transaction_commit_keeps_and_rollback_undoes_writes() {
+        let mut m = mem();
+        let (a, b) = (FrameAddress::new(0, 1, 0), FrameAddress::new(0, 1, 1));
+        m.write_frame(a, payload(&m, 3)).unwrap();
+        m.begin_transaction();
+        m.write_frame(b, payload(&m, 5)).unwrap();
+        m.commit();
+        assert_eq!(m.rollback(), 0, "a committed transaction leaves no journal");
+        assert_eq!(m.frame(b), payload(&m, 5));
+        // Erasing an erased frame displaces nothing and changes nothing.
+        m.begin_transaction();
+        m.erase_frame(FrameAddress::new(0, 1, 2)).unwrap();
+        assert!(m.journal.is_empty());
+        m.write_frame(a, payload(&m, 7)).unwrap();
+        m.erase_frame(b).unwrap();
+        assert_eq!(m.rollback(), 2);
+        assert_eq!(m.frame(a), payload(&m, 3));
+        assert_eq!(m.frame(b), payload(&m, 5));
+        assert_eq!(m.configured_frames(), 2);
+        assert!(m.erase_frame(FrameAddress::new(999, 0, 0)).is_err());
+    }
+
+    /// Eight addresses of one column: the universe the generated
+    /// sequences draw from.
+    fn universe() -> Vec<FrameAddress> {
+        (0..8).map(|minor| FrameAddress::new(1, 2, minor)).collect()
+    }
+
+    /// Applies one generated operation: 0 writes `v`'s payload, 1 erases,
+    /// 2 writes zeros, 3 clears the frame and its neighbour, 4 flips a bit
+    /// without touching the codes (pre-state only).
+    fn apply(m: &mut ConfigMemory, (idx, op, v): (usize, u32, u32)) {
+        let addrs = universe();
+        let addr = addrs[idx];
+        match op {
+            0 => m.write_frame(addr, payload(m, v)).unwrap(),
+            1 => m.erase_frame(addr).unwrap(),
+            2 => m.write_frame(addr, vec![0; m.frame_words()]).unwrap(),
+            3 => m
+                .clear_frames([addr, addrs[(idx + 1) % addrs.len()]].iter())
+                .unwrap(),
+            _ => m
+                .corrupt_bit(addr, v as usize % m.frame_words(), v % 32)
+                .unwrap(),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// Rollback restores every address to a clone taken before the
+        /// transaction (payload, codes and sparseness) and reports what
+        /// `diff` against that clone reports.
+        #[test]
+        fn rollback_matches_a_pre_transaction_clone(
+            pre in proptest::collection::vec((0usize..8, 0u32..5, 0u32..4), 0..24),
+            tx in proptest::collection::vec((0usize..8, 0u32..4, 0u32..4), 1..24),
+            restore_golden in proptest::bool::ANY,
+        ) {
+            let mut m = mem();
+            for op in pre {
+                apply(&mut m, op);
+            }
+            let golden = m.snapshot(universe().iter()).unwrap();
+            let before = m.clone();
+            m.begin_transaction();
+            // The first frame is written twice, whatever else happens.
+            let twice = (tx[0].0, 0, 3);
+            apply(&mut m, twice);
+            for &op in &tx {
+                apply(&mut m, op);
+            }
+            apply(&mut m, twice);
+            if restore_golden {
+                m.restore(&golden).unwrap();
+            }
+            let after = m.clone();
+            let dirty = m.rollback();
+            proptest::prop_assert_eq!(dirty, before.diff(&after).len());
+            for addr in universe() {
+                proptest::prop_assert_eq!(observe(&m, addr), observe(&before, addr));
+            }
+            proptest::prop_assert_eq!(m.configured_frames(), before.configured_frames());
+        }
+
+        /// The merge join over the memory's address range builds the same
+        /// snapshot as one lookup per address, for unsorted, duplicated
+        /// address lists with other regions' frames inside the range.
+        #[test]
+        fn merge_built_snapshot_matches_per_address_construction(
+            frames in proptest::collection::vec((0u32..3, 1u32..6, 0u32..28, 0u32..3), 0..60),
+            wanted in proptest::collection::vec((0u32..3, 1u32..6, 0u32..28), 0..80),
+        ) {
+            let mut m = mem();
+            for (row, col, minor, v) in frames {
+                let addr = FrameAddress::new(row, col, minor);
+                match v {
+                    0 => m.corrupt_bit(addr, minor as usize, col).unwrap(),
+                    _ => m.write_frame(addr, payload(&m, v)).unwrap(),
+                }
+            }
+            let addrs: Vec<FrameAddress> = wanted
+                .into_iter()
+                .map(|(row, col, minor)| FrameAddress::new(row, col, minor))
+                .collect();
+            let merged = m.snapshot(addrs.iter()).unwrap();
+            let reference = snapshot_per_address(&m, &addrs);
+            proptest::prop_assert_eq!(&merged.addresses, &reference.addresses);
+            proptest::prop_assert_eq!(&merged.frames, &reference.frames);
+            proptest::prop_assert_eq!(merged, reference);
+        }
     }
 }

@@ -51,6 +51,24 @@ fn single(payload: &[u32]) -> Result<u32, Error> {
     Ok(payload[0])
 }
 
+/// The multi-frame-write shadow register: the last frame an FDRI burst
+/// wrote, replayed by every MFWR.
+#[derive(Debug, Default)]
+struct FrameShadow {
+    words: Vec<u32>,
+    /// Whether the latched frame is all zero, so an MFWR erases.
+    erased: bool,
+}
+
+impl FrameShadow {
+    /// Latches `frame`, noting once whether it is all zero.
+    fn latch(&mut self, frame: &[u32]) {
+        self.words.clear();
+        self.words.extend_from_slice(frame);
+        self.erased = frame.iter().all(|&w| w == 0);
+    }
+}
+
 /// State machine states of the configuration logic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum State {
@@ -138,7 +156,7 @@ impl Icap {
         let mut state = State::Unsynced;
         let mut crc = CrcAccumulator::new();
         let mut far: Option<FrameAddress> = None;
-        let mut shadow: Vec<u32> = Vec::new();
+        let mut shadow = FrameShadow::default();
         let mut frames_written = 0usize;
         let mut multi_frame = false;
         let mut desynced = false;
@@ -211,12 +229,16 @@ impl Icap {
                                     let addr = far.ok_or_else(|| Error::MalformedBitstream {
                                         detail: "MFWR with no FAR set".into(),
                                     })?;
-                                    if shadow.len() != self.frame_words {
+                                    if shadow.words.len() != self.frame_words {
                                         return Err(Error::MalformedBitstream {
                                             detail: "MFWR with empty frame shadow register".into(),
                                         });
                                     }
-                                    self.memory.write_frame(addr, shadow.clone())?;
+                                    if shadow.erased {
+                                        self.memory.erase_frame(addr)?;
+                                    } else {
+                                        self.memory.write_frame(addr, shadow.words.clone())?;
+                                    }
                                     self.last_written.push(addr);
                                     frames_written += 1;
                                 }
@@ -266,7 +288,7 @@ impl Icap {
         far: &mut Option<FrameAddress>,
         payload: &[u32],
         crc: &mut CrcAccumulator,
-        shadow: &mut Vec<u32>,
+        shadow: &mut FrameShadow,
     ) -> Result<usize, Error> {
         if !payload.len().is_multiple_of(self.frame_words) {
             return Err(Error::MalformedBitstream {
@@ -280,11 +302,9 @@ impl Icap {
         let mut addr = far.ok_or_else(|| Error::MalformedBitstream {
             detail: "FDRI with no FAR set".into(),
         })?;
+        crc.update_words(payload);
         let mut written = 0usize;
         for chunk in payload.chunks(self.frame_words) {
-            for &w in chunk {
-                crc.update(w);
-            }
             self.memory.write_frame(addr, chunk.to_vec())?;
             self.last_written.push(addr);
             written += 1;
@@ -292,8 +312,7 @@ impl Icap {
         }
         // Only the burst's last frame is ever visible to MFWR.
         if let Some(last) = payload.rchunks(self.frame_words).next() {
-            shadow.clear();
-            shadow.extend_from_slice(last);
+            shadow.latch(last);
         }
         *far = Some(addr);
         Ok(written)

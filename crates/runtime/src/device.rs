@@ -113,7 +113,7 @@ impl DeviceCore {
         window: Option<std::ops::Range<u32>>,
     ) -> Result<(), Error> {
         for tile in self.soc.config().reconfigurable_tiles() {
-            if !self.soc.tile_region(tile).is_empty() {
+            if self.soc.has_region(tile) {
                 return Err(Error::Soc(presp_soc::Error::RegionConflict {
                     coord: tile,
                     detail: "amorphous floorplanning must be enabled before the first load".into(),

@@ -345,7 +345,7 @@ impl ReconfigManager {
             .config()
             .reconfigurable_tiles()
             .into_iter()
-            .filter(|t| !self.is_quarantined(*t) && !self.core.soc().tile_region(*t).is_empty())
+            .filter(|t| !self.is_quarantined(*t) && self.core.soc().has_region(*t))
             .collect();
         tiles.sort_unstable();
         let mut reports = Vec::with_capacity(tiles.len());

@@ -351,7 +351,7 @@ pub(crate) fn repack_move(
             })
         })?;
     }
-    let physical = if core.soc().tile_region(tile).is_empty() {
+    let physical = if !core.soc().has_region(tile) {
         // Never loaded: a pure bookkeeping slide.
         Ok(0)
     } else {

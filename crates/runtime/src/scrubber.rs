@@ -257,7 +257,7 @@ impl<S: SyncFacade> ScrubberDaemon<S> {
                     continue;
                 }
                 let mut core = S::lock(&shared.core);
-                if core.soc().tile_region(tile).is_empty() {
+                if !core.soc().has_region(tile) {
                     continue;
                 }
                 protocol::scrub_tile_at(&mut state, &mut core, at)?

@@ -37,7 +37,7 @@ use presp_fpga::icap::ICAP_CLOCK_MHZ;
 use presp_fpga::part::FpgaPart;
 use presp_fpga::resources::Resources;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 /// The tile's location as a trace record coordinate.
 fn loc(coord: TileCoord) -> Loc {
@@ -197,8 +197,9 @@ pub struct Soc {
     irq_log: Vec<IrqEvent>,
     fault_plan: Option<FaultPlan>,
     decoupled_rejections: u64,
-    /// Union of every frame each tile's successful loads have written.
-    tile_regions: HashMap<TileCoord, BTreeSet<FrameAddress>>,
+    /// Union of every frame each tile's successful loads have written,
+    /// sorted and deduplicated.
+    tile_regions: HashMap<TileCoord, Vec<FrameAddress>>,
     /// Per-tile golden (known-good, post-load) frame images.
     golden: HashMap<TileCoord, RegionSnapshot>,
     seu_log: Vec<SeuRecord>,
@@ -372,10 +373,14 @@ impl Soc {
     /// every frame its successful loads have written. Empty before the
     /// first load.
     pub fn tile_region(&self, tile: TileCoord) -> Vec<FrameAddress> {
-        self.tile_regions
-            .get(&tile)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default()
+        self.tile_regions.get(&tile).cloned().unwrap_or_default()
+    }
+
+    /// `true` once a load of `tile` has succeeded and its region is not
+    /// yet released: [`Soc::tile_region`] would be non-empty. Copies
+    /// nothing.
+    pub fn has_region(&self, tile: TileCoord) -> bool {
+        self.tile_regions.get(&tile).is_some_and(|r| !r.is_empty())
     }
 
     /// The tile's golden (post-load, known-good) frame image, if any load
@@ -479,12 +484,12 @@ impl Soc {
         let shifted = snap
             .shift_columns(&device, col_delta)
             .map_err(Error::Fpga)?;
-        let new_region: BTreeSet<FrameAddress> = shifted.addresses().into_iter().collect();
+        let new_region = shifted.addresses();
         for (other, region) in &self.tile_regions {
             if *other == tile {
                 continue;
             }
-            if let Some(hit) = new_region.intersection(region).next() {
+            if let Some(hit) = new_region.iter().find(|a| region.binary_search(a).is_ok()) {
                 return Err(Error::RegionConflict {
                     coord: tile,
                     detail: format!("destination frame {hit:?} belongs to tile {other}"),
@@ -978,10 +983,10 @@ impl Soc {
                 .as_mut()
                 .and_then(|p| p.next_icap_fault(words))
         };
-        // Transactional write: capture the pre-transaction image so a
-        // stream that faults mid-write can roll the fabric back instead of
-        // leaving it partially configured.
-        let pre_image = self.dfxc.config_memory().clone();
+        // Transactional write: journal every frame the load displaces so
+        // a stream that faults mid-write can roll the fabric back instead
+        // of leaving it partially configured.
+        self.dfxc.config_memory_mut().begin_transaction();
         let loaded = match fault {
             Some(flip) => {
                 let corrupted = bitstream.with_words(flip.corrupt(bitstream.words()));
@@ -990,7 +995,10 @@ impl Soc {
             None => self.dfxc.load(bitstream),
         };
         let report = match loaded {
-            Ok(report) => report,
+            Ok(report) => {
+                self.dfxc.config_memory_mut().commit();
+                report
+            }
             Err(e) => {
                 // A failed stream still occupied the ICAP for its full
                 // length, and virtual time advances past the attempt.
@@ -1019,8 +1027,7 @@ impl Soc {
                 // Roll the configuration memory back to the
                 // pre-transaction image: the failed stream's partial
                 // writes never become visible fabric state.
-                let dirty = pre_image.diff(self.dfxc.config_memory()).len() as u64;
-                *self.dfxc.config_memory_mut() = pre_image;
+                let dirty = self.dfxc.config_memory_mut().rollback() as u64;
                 self.tracer.instant(ClockDomain::SocCycles, r.end, || {
                     TraceEvent::RollbackCompleted {
                         tile: loc(tile),
@@ -1054,13 +1061,23 @@ impl Soc {
         state.timeline.claim(at, icap_start, icap_done);
         // Region bookkeeping: the union of frames this tile's loads have
         // written defines its region, and the post-load image becomes its
-        // golden (known-good) store for scrubber escalation and rollback.
-        let written: Vec<FrameAddress> = self.dfxc.last_written().to_vec();
-        self.tile_regions.entry(tile).or_default().extend(written);
+        // golden (known-good) store for scrubber escalation.
+        // A load writes a few ascending runs: the stable sort merges them
+        // in linear time, and a reload of the same span leaves the region
+        // as it is.
+        let mut written = self.dfxc.last_written().to_vec();
+        written.sort();
+        written.dedup();
+        let region = self.tile_regions.entry(tile).or_default();
+        if *region != written {
+            region.extend(written);
+            region.sort();
+            region.dedup();
+        }
         let snap = self
             .dfxc
             .config_memory()
-            .snapshot(self.tile_regions[&tile].iter())
+            .snapshot(region.iter())
             .expect("region addresses were validated when written");
         self.golden.insert(tile, snap);
         let end = self.deliver_irq(icap_done, aux);
@@ -1808,10 +1825,22 @@ mod tests {
         soc.set_fault_plan(Some(plan));
         let err = soc.reconfigure_at(tile, AcceleratorKind::Mac, &mac_bitstream(&soc, 3), r1.end);
         assert!(err.is_err());
+        let after = soc.dfxc().config_memory();
         assert!(
-            before.diff(soc.dfxc().config_memory()).is_empty(),
-            "rollback restored the pre-transaction image bit-for-bit"
+            before.diff(after).is_empty(),
+            "rollback restored the pre-transaction payload"
         );
+        // `diff` compares payload only: check codes and sparseness of every
+        // frame either image holds or the failed stream wrote must match too.
+        let written = soc.dfxc().last_written();
+        assert!(!written.is_empty(), "the faulted stream wrote frames");
+        let mut touched = before.configured_addresses();
+        touched.extend(after.configured_addresses());
+        touched.extend_from_slice(written);
+        for addr in touched {
+            assert_eq!(after.frame_ecc(addr), before.frame_ecc(addr), "{addr:?}");
+            assert_eq!(after.is_configured(addr), before.is_configured(addr));
+        }
     }
 
     #[test]
