@@ -15,5 +15,5 @@
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    std::process::exit(presp_analyze::run_cli("presp-analyze", &args));
+    std::process::exit(presp_analyze::run_cli(&args));
 }

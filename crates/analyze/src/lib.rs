@@ -3,10 +3,10 @@
 //! Three passes over a comment/string-aware lex of the source tree, all
 //! driven by one declarative manifest (`analyze.json`):
 //!
-//! 1. **Pattern rules** — the doorway/discipline checks `presp-lint` used
-//!    to hard-code (sync-facade, virtual-time, config-memory, tile-shard,
-//!    trace-sink), matched against blanked source lines so strings and
-//!    comments can never trigger or hide a finding.
+//! 1. **Pattern rules** — the doorway/discipline checks (sync-facade,
+//!    virtual-time, config-memory, tile-shard, trace-sink), matched
+//!    against blanked source lines so strings and comments can never
+//!    trigger or hide a finding.
 //! 2. **Lock-order pass** — every facade lock field is labeled by its
 //!    `mutex_labeled` declaration; a guard-scope tracker computes which
 //!    locks are acquired while another guard is live (per function, with
@@ -201,7 +201,7 @@ impl<'a> Workspace<'a> {
             let mut allow_lines = BTreeSet::new();
             let mut mutant_lines = BTreeSet::new();
             for (idx, raw) in source.lines().enumerate() {
-                if raw.contains("presp-lint: allow") || raw.contains("presp-analyze: allow") {
+                if raw.contains("presp-analyze: allow") {
                     allow_lines.insert(idx + 1);
                 }
                 if raw.contains("presp-analyze: mutant") {
@@ -527,9 +527,9 @@ pub fn find_root(start: &Path) -> Option<PathBuf> {
     }
 }
 
-/// Shared CLI driver for `presp-analyze` and the `presp-lint` wrapper.
-/// Returns the process exit code (0 clean, 1 findings, 2 usage/IO error).
-pub fn run_cli(tool: &str, args: &[String]) -> i32 {
+/// The `presp-analyze` CLI driver. Returns the process exit code (0
+/// clean, 1 findings, 2 usage/IO error).
+pub fn run_cli(args: &[String]) -> i32 {
     let mut opts = Options::default();
     let mut json_out: Option<Option<PathBuf>> = None;
     let mut manifest_path: Option<PathBuf> = None;
@@ -553,7 +553,7 @@ pub fn run_cli(tool: &str, args: &[String]) -> i32 {
                 match args.get(i) {
                     Some(p) => manifest_path = Some(PathBuf::from(p)),
                     None => {
-                        eprintln!("{tool}: --manifest requires a path");
+                        eprintln!("presp-analyze: --manifest requires a path");
                         return 2;
                     }
                 }
@@ -563,15 +563,15 @@ pub fn run_cli(tool: &str, args: &[String]) -> i32 {
                 match args.get(i) {
                     Some(p) => root_arg = Some(PathBuf::from(p)),
                     None => {
-                        eprintln!("{tool}: --root requires a path");
+                        eprintln!("presp-analyze: --root requires a path");
                         return 2;
                     }
                 }
             }
             other => {
                 eprintln!(
-                    "{tool}: unknown argument `{other}` \
-                     (usage: {tool} [--json [FILE]] [--mutants] [--manifest FILE] [--root DIR])"
+                    "presp-analyze: unknown argument `{other}` \
+                     (usage: presp-analyze [--json [FILE]] [--mutants] [--manifest FILE] [--root DIR])"
                 );
                 return 2;
             }
@@ -583,7 +583,9 @@ pub fn run_cli(tool: &str, args: &[String]) -> i32 {
         match root_arg.or_else(|| std::env::current_dir().ok().and_then(|cwd| find_root(&cwd))) {
             Some(r) => r,
             None => {
-                eprintln!("{tool}: workspace root (containing analyze.json or crates/) not found");
+                eprintln!(
+                    "presp-analyze: workspace root (containing analyze.json or crates/) not found"
+                );
                 return 2;
             }
         };
@@ -591,7 +593,7 @@ pub fn run_cli(tool: &str, args: &[String]) -> i32 {
     let manifest = match Manifest::load(&manifest_file) {
         Ok(m) => m,
         Err(e) => {
-            eprintln!("{tool}: {e}");
+            eprintln!("presp-analyze: {e}");
             return 2;
         }
     };
@@ -602,23 +604,23 @@ pub fn run_cli(tool: &str, args: &[String]) -> i32 {
         match dest {
             Some(path) => {
                 if let Err(e) = std::fs::write(path, &doc) {
-                    eprintln!("{tool}: cannot write {}: {e}", path.display());
+                    eprintln!("presp-analyze: cannot write {}: {e}", path.display());
                     return 2;
                 }
-                eprintln!("{tool}: findings written to {}", path.display());
+                eprintln!("presp-analyze: findings written to {}", path.display());
             }
             None => print!("{doc}"),
         }
     }
     if analysis.is_clean() {
-        eprintln!("{tool}: {} files clean", analysis.files_scanned);
+        eprintln!("presp-analyze: {} files clean", analysis.files_scanned);
         0
     } else {
         for finding in &analysis.findings {
             eprintln!("{finding}");
         }
         eprintln!(
-            "{tool}: {} finding(s) in {} files",
+            "presp-analyze: {} finding(s) in {} files",
             analysis.findings.len(),
             analysis.files_scanned
         );

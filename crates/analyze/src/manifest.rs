@@ -1,9 +1,8 @@
 //! The declarative rule manifest (`analyze.json`).
 //!
 //! Everything the analyzer enforces is data: the doorway/discipline
-//! pattern rules that used to be hard-coded in `presp-lint`, the declared
-//! lock-order DAG the static graph is diffed against, and the scopes of
-//! the held-guard hazard passes.
+//! pattern rules, the declared lock-order DAG the static graph is diffed
+//! against, and the scopes of the held-guard hazard passes.
 
 use presp_events::json::{self, JsonValue};
 use std::collections::BTreeMap;
@@ -12,9 +11,8 @@ use std::path::Path;
 /// Schema tag expected at the top of `analyze.json`.
 pub const MANIFEST_SCHEMA: &str = "presp-analyze/v1";
 
-/// One line-oriented forbidden-pattern rule (the old `presp-lint` rules,
-/// now data). Patterns are matched against blanked source lines, so
-/// strings and comments can never trigger a rule.
+/// One line-oriented forbidden-pattern rule. Patterns are matched against
+/// blanked source lines, so strings and comments can never trigger a rule.
 #[derive(Debug, Clone)]
 pub struct PatternRule {
     /// Rule name used in findings and JSON output.

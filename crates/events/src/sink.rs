@@ -8,8 +8,8 @@
 //! that would make the already-collected records unusable — so readers
 //! recover the guard instead of propagating the panic (the same facade
 //! pattern the threaded runtime uses for its stats mutex). Code outside
-//! this file must not call `.lock()` on a sink directly; `presp-lint`
-//! enforces the doorway.
+//! this file must not call `.lock()` on a sink directly; the
+//! `trace-sink-doorway` rule in `analyze.json` enforces the doorway.
 
 use crate::trace::{TraceRecord, TraceSink};
 use std::collections::VecDeque;
@@ -295,11 +295,11 @@ mod tests {
         // recover the guard — trace records are plain data.
         let sink = RingBufferSink::shared(8);
         for i in 0..4 {
-            sink.lock().unwrap().record(irq(i)); // presp-lint: allow
+            sink.lock().unwrap().record(irq(i)); // presp-analyze: allow
         }
         let poisoner = sink.clone();
         let _ = std::thread::spawn(move || {
-            let _guard = poisoner.lock().unwrap(); // presp-lint: allow
+            let _guard = poisoner.lock().unwrap(); // presp-analyze: allow
             panic!("poison the sink mutex");
         })
         .join();
@@ -314,7 +314,7 @@ mod tests {
         let sink = MemorySink::shared();
         let poisoner = sink.clone();
         let _ = std::thread::spawn(move || {
-            let _guard = poisoner.lock().unwrap(); // presp-lint: allow
+            let _guard = poisoner.lock().unwrap(); // presp-analyze: allow
             panic!("poison the sink mutex");
         })
         .join();

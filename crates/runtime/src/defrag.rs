@@ -325,6 +325,7 @@ impl<S: SyncFacade> Defragmenter<S> {
 mod tests {
     use super::*;
     use crate::registry::BitstreamRegistry;
+    use crate::threaded::SpawnConfig;
     use presp_accel::catalog::AcceleratorKind;
     use presp_check::{CheckSync, Checker, Config, FailureKind};
     use presp_floorplan::FitPolicy;
@@ -513,11 +514,7 @@ mod tests {
         registry
             .register(tile, AcceleratorKind::Mac, bitstream(&soc, 2, 1))
             .unwrap();
-        let mgr = ThreadedManager::<CheckSync>::spawn_with_policy(
-            soc,
-            registry,
-            crate::manager::RecoveryPolicy::default(),
-        );
+        let mgr = ThreadedManager::<CheckSync>::spawn_with(soc, registry, SpawnConfig::default());
         let defrag = Defragmenter::attach_with_mutants(&mgr, mutants);
         (mgr, defrag, tile)
     }

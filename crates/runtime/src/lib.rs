@@ -41,7 +41,8 @@
 //!   redispatching claimed-but-uncommitted jobs under their original
 //!   tickets and respawns dead workers within a bounded restart budget.
 //! * [`sync`] — the sync facade: the runtime's only doorway to
-//!   synchronization primitives, enforced by the `presp-lint` tool.
+//!   synchronization primitives, enforced by the `sync-facade` rule of
+//!   `presp-analyze`.
 //! * [`app`] — the WAMI application scheduler: maps the Fig. 3 dataflow
 //!   onto a reconfigurable SoC given a tile allocation (Table VI), with
 //!   prefetch reconfiguration and CPU fallback for unallocated kernels.

@@ -92,7 +92,7 @@ use presp_soc::sim::{AccelRun, Soc};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 // Not a protocol primitive: caches an env read once, immutable after
 // init, so there is no schedule-dependent behavior to explore.
-use std::sync::OnceLock; // presp-lint: allow — init-once env cache
+use std::sync::OnceLock; // presp-analyze: allow — init-once env cache
 use std::time::{Duration, Instant};
 
 /// Default capacity of the verified-bitstream LRU on the threaded path.
@@ -1653,7 +1653,7 @@ fn worker_loop<S: SyncFacade>(shared: &Shared<S>, worker: usize) {
                 if let Some(delay) = bench_eval_delay() {
                     // Wall-clock pacing only, never set under the model
                     // checker; no synchronization.
-                    std::thread::sleep(delay); // presp-lint: allow — bench pacing
+                    std::thread::sleep(delay); // presp-analyze: allow — bench pacing
                 }
                 Some(AccelInstance::new(op.kind()).execute(op))
             }

@@ -326,6 +326,7 @@ impl<S: SyncFacade> ScrubberDaemon<S> {
 mod tests {
     use super::*;
     use crate::registry::BitstreamRegistry;
+    use crate::threaded::SpawnConfig;
     use presp_accel::catalog::AcceleratorKind;
     use presp_check::{CheckSync, Checker, Config, FailureKind};
     use presp_fpga::bitstream::{Bitstream, BitstreamBuilder, BitstreamKind};
@@ -465,11 +466,7 @@ mod tests {
         registry
             .register(tile, AcceleratorKind::Mac, bitstream(&soc, 2))
             .unwrap();
-        let mgr = ThreadedManager::<CheckSync>::spawn_with_policy(
-            soc,
-            registry,
-            crate::manager::RecoveryPolicy::default(),
-        );
+        let mgr = ThreadedManager::<CheckSync>::spawn_with(soc, registry, SpawnConfig::default());
         let scrubber = ScrubberDaemon::attach_with_mutants(&mgr, mutants);
         (mgr, scrubber, tile)
     }

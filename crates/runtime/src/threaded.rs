@@ -62,88 +62,60 @@ impl<S: SyncFacade> Clone for ThreadedManager<S> {
     }
 }
 
+/// Boot-time configuration for [`ThreadedManager::spawn_with`].
+#[derive(Debug, Clone, Copy)]
+pub struct SpawnConfig {
+    /// Recovery, deadline and admission policy.
+    pub policy: RecoveryPolicy,
+    /// Worker threads; `None` boots one per reconfigurable tile. `Some(1)`
+    /// degrades to the old single-worker workqueue; any count produces
+    /// identical virtual-time results (see [`crate::scheduler`]).
+    pub workers: Option<usize>,
+    /// Verified-bitstream cache capacity; `0` disables the cache.
+    pub cache_capacity: usize,
+    /// Known-bad protocol variants — checker validation only.
+    #[doc(hidden)]
+    pub mutants: MutantConfig,
+}
+
+impl Default for SpawnConfig {
+    fn default() -> SpawnConfig {
+        SpawnConfig {
+            policy: RecoveryPolicy::default(),
+            workers: None,
+            cache_capacity: DEFAULT_CACHE_CAPACITY,
+            mutants: MutantConfig::default(),
+        }
+    }
+}
+
 impl ThreadedManager<StdSync> {
-    /// Boots the worker pool over a SoC and registry with the default
-    /// [`RecoveryPolicy`], one worker per reconfigurable tile and the
-    /// default verified-bitstream cache.
+    /// Boots the worker pool over a SoC and registry with
+    /// [`SpawnConfig::default`].
     pub fn spawn(soc: Soc, registry: BitstreamRegistry) -> ThreadedManager {
-        ThreadedManager::spawn_with_policy(soc, registry, RecoveryPolicy::default())
+        ThreadedManager::spawn_with(soc, registry, SpawnConfig::default())
     }
 }
 
 impl<S: SyncFacade> ThreadedManager<S> {
-    /// Boots with an explicit recovery policy, under any sync facade.
-    /// Worker count defaults to the number of reconfigurable tiles.
-    pub fn spawn_with_policy(
+    /// Boots the worker pool under any sync facade with an explicit
+    /// configuration.
+    pub fn spawn_with(
         soc: Soc,
         registry: BitstreamRegistry,
-        policy: RecoveryPolicy,
+        config: SpawnConfig,
     ) -> ThreadedManager<S> {
-        let workers = soc.config().reconfigurable_tiles().len().max(1);
-        ThreadedManager::spawn_with_workers(soc, registry, policy, workers)
-    }
-
-    /// Boots an explicit number of worker threads. `workers = 1` degrades
-    /// to the old single-worker workqueue; any count produces identical
-    /// virtual-time results (see [`crate::scheduler`]).
-    pub fn spawn_with_workers(
-        soc: Soc,
-        registry: BitstreamRegistry,
-        policy: RecoveryPolicy,
-        workers: usize,
-    ) -> ThreadedManager<S> {
+        let workers = config
+            .workers
+            .unwrap_or_else(|| soc.config().reconfigurable_tiles().len().max(1));
         ThreadedManager {
             sched: Scheduler::boot(
                 soc,
                 registry,
-                policy,
+                config.policy,
                 workers,
-                DEFAULT_CACHE_CAPACITY,
-                MutantConfig::default(),
-            ),
-        }
-    }
-
-    /// Boots with every spec-driven knob explicit: worker count and
-    /// verified-bitstream cache capacity (`0` disables the cache). This
-    /// is the constructor declarative scenario harnesses use — every
-    /// argument maps one-to-one onto a scenario-file field.
-    pub fn spawn_with_config(
-        soc: Soc,
-        registry: BitstreamRegistry,
-        policy: RecoveryPolicy,
-        workers: usize,
-        cache_capacity: usize,
-    ) -> ThreadedManager<S> {
-        ThreadedManager {
-            sched: Scheduler::boot(
-                soc,
-                registry,
-                policy,
-                workers,
-                cache_capacity,
-                MutantConfig::default(),
-            ),
-        }
-    }
-
-    /// Boots with explicit mutants enabled — checker-validation only.
-    #[doc(hidden)]
-    pub fn spawn_with_mutants(
-        soc: Soc,
-        registry: BitstreamRegistry,
-        policy: RecoveryPolicy,
-        workers: usize,
-        mutants: MutantConfig,
-    ) -> ThreadedManager<S> {
-        ThreadedManager {
-            sched: Scheduler::boot(
-                soc,
-                registry,
-                policy,
-                workers,
-                DEFAULT_CACHE_CAPACITY,
-                mutants,
+                config.cache_capacity,
+                config.mutants,
             ),
         }
     }
@@ -411,7 +383,15 @@ mod tests {
                 .unwrap();
         }
         (
-            ThreadedManager::spawn_with_workers(soc, registry, policy, workers),
+            ThreadedManager::spawn_with(
+                soc,
+                registry,
+                SpawnConfig {
+                    policy,
+                    workers: Some(workers),
+                    ..SpawnConfig::default()
+                },
+            ),
             tiles,
         )
     }
@@ -444,12 +424,14 @@ mod tests {
         registry
             .register(tiles[0], AcceleratorKind::Mac, bitstream(&soc, 2))
             .unwrap();
-        let mgr = ThreadedManager::<CheckSync>::spawn_with_mutants(
+        let mgr = ThreadedManager::<CheckSync>::spawn_with(
             soc,
             registry,
-            RecoveryPolicy::default(),
-            1,
-            mutants,
+            SpawnConfig {
+                workers: Some(1),
+                mutants,
+                ..SpawnConfig::default()
+            },
         );
         (mgr, tiles)
     }
@@ -1063,12 +1045,15 @@ mod tests {
         registry
             .register(tiles[0], AcceleratorKind::Mac, bitstream(&soc, 2))
             .unwrap();
-        let mgr = ThreadedManager::<CheckSync>::spawn_with_mutants(
+        let mgr = ThreadedManager::<CheckSync>::spawn_with(
             soc,
             registry,
-            supervised_policy(),
-            1,
-            mutants,
+            SpawnConfig {
+                policy: supervised_policy(),
+                workers: Some(1),
+                mutants,
+                ..SpawnConfig::default()
+            },
         );
         (mgr, tiles)
     }

@@ -15,8 +15,8 @@
 //! [`crate::manager::ReconfigManager`] owns its shards directly; the
 //! OS-threaded [`crate::scheduler::Scheduler`] wraps each one in a
 //! per-tile mutex (label `"tile_state"`) and is the only doorway through
-//! which shard state is mutated on the concurrent path — a boundary
-//! `presp-lint` enforces.
+//! which shard state is mutated on the concurrent path — a boundary the
+//! `tile-shard-doorway` rule in `analyze.json` enforces.
 
 use crate::driver::DriverEvent;
 use presp_accel::catalog::AcceleratorKind;
@@ -32,7 +32,7 @@ use presp_soc::config::TileCoord;
 /// is correct again but took hits), and an uncorrectable upset removes it
 /// from service. A successful reconfiguration rewrites every frame and
 /// resets the tile to `Healthy`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TileHealth {
     /// No known upsets.
     Healthy,

@@ -31,7 +31,7 @@ use presp_runtime::manager::ExecPath;
 use presp_runtime::registry::BitstreamRegistry;
 use presp_runtime::scrubber::ScrubberDaemon;
 use presp_runtime::supervisor::{install_quiet_panic_hook, WorkerFaultPlan};
-use presp_runtime::threaded::ThreadedManager;
+use presp_runtime::threaded::{SpawnConfig, ThreadedManager};
 use presp_soc::config::{SocConfig, TileCoord};
 use presp_soc::sim::Soc;
 use std::collections::{BTreeMap, VecDeque};
@@ -298,12 +298,15 @@ fn run_cell(
             }
         }
     }
-    let manager: ThreadedManager = ThreadedManager::spawn_with_config(
+    let manager: ThreadedManager = ThreadedManager::spawn_with(
         soc,
         registry,
-        spec.policy,
-        workers,
-        spec.cache_capacity,
+        SpawnConfig {
+            policy: spec.policy,
+            workers: Some(workers),
+            cache_capacity: spec.cache_capacity,
+            ..SpawnConfig::default()
+        },
     );
     if spec.regions.enabled {
         match spec.regions.window {

@@ -10,8 +10,7 @@
 use crate::debayer::mosaic;
 use crate::image::{BayerImage, GrayImage, RgbImage};
 use crate::warp::AffineParams;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use presp_fpga::fault::SplitMix64;
 
 /// A moving foreground object (a "vehicle" blob).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -41,7 +40,7 @@ struct MovingObject {
 pub struct SceneGenerator {
     width: usize,
     height: usize,
-    rng: StdRng,
+    rng: SplitMix64,
     background: GrayImage,
     objects: Vec<MovingObject>,
     /// Platform drift per frame, in pixels.
@@ -58,20 +57,20 @@ impl SceneGenerator {
     /// Panics if either dimension is zero.
     pub fn new(width: usize, height: usize, seed: u64) -> SceneGenerator {
         assert!(width > 0 && height > 0, "scene dimensions must be non-zero");
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = SplitMix64::new(seed);
         let background = smooth_texture(width * 2, height * 2, &mut rng);
         let n_objects = 2 + (seed as usize % 3);
         let objects = (0..n_objects)
             .map(|_| MovingObject {
-                x: rng.gen_range(0.2..0.8) * width as f64,
-                y: rng.gen_range(0.2..0.8) * height as f64,
-                vx: rng.gen_range(-1.5..1.5),
-                vy: rng.gen_range(-1.5..1.5),
-                sigma: rng.gen_range(1.5..3.0),
-                intensity: rng.gen_range(150.0..250.0),
+                x: uniform(&mut rng, 0.2, 0.8) * width as f64,
+                y: uniform(&mut rng, 0.2, 0.8) * height as f64,
+                vx: uniform(&mut rng, -1.5, 1.5),
+                vy: uniform(&mut rng, -1.5, 1.5),
+                sigma: uniform(&mut rng, 1.5, 3.0),
+                intensity: uniform(&mut rng, 150.0, 250.0),
             })
             .collect();
-        let drift = (rng.gen_range(-0.8..0.8), rng.gen_range(-0.8..0.8));
+        let drift = (uniform(&mut rng, -0.8, 0.8), uniform(&mut rng, -0.8, 0.8));
         SceneGenerator {
             width,
             height,
@@ -143,7 +142,7 @@ impl SceneGenerator {
         }
         // Sensor noise.
         for p in img.pixels_mut() {
-            let noise: f64 = self.rng.gen_range(-1.0..1.0) * self.noise_sigma;
+            let noise: f64 = uniform(&mut self.rng, -1.0, 1.0) * self.noise_sigma;
             *p = (*p + noise as f32).clamp(0.0, 1023.0);
         }
         img
@@ -169,15 +168,20 @@ fn splat(img: &mut GrayImage, cx: f64, cy: f64, sigma: f64, intensity: f64) {
     }
 }
 
+/// A uniform draw in `[lo, hi)`.
+fn uniform(rng: &mut SplitMix64, lo: f64, hi: f64) -> f64 {
+    lo + rng.next_f64() * (hi - lo)
+}
+
 /// Generates a smooth random texture by summing low-frequency cosine waves.
-fn smooth_texture(width: usize, height: usize, rng: &mut StdRng) -> GrayImage {
+fn smooth_texture(width: usize, height: usize, rng: &mut SplitMix64) -> GrayImage {
     let waves: Vec<(f64, f64, f64, f64)> = (0..12)
         .map(|_| {
             (
-                rng.gen_range(0.02..0.15),                 // fx
-                rng.gen_range(0.02..0.15),                 // fy
-                rng.gen_range(0.0..std::f64::consts::TAU), // phase
-                rng.gen_range(10.0..30.0),                 // amplitude
+                uniform(rng, 0.02, 0.15),                 // fx
+                uniform(rng, 0.02, 0.15),                 // fy
+                uniform(rng, 0.0, std::f64::consts::TAU), // phase
+                uniform(rng, 10.0, 30.0),                 // amplitude
             )
         })
         .collect();
@@ -256,5 +260,26 @@ mod tests {
         let gray = grayscale(&rgb).unwrap();
         assert_eq!(gray.dims(), (32, 32));
         assert!(gray.mean() > 10.0);
+    }
+
+    /// Folds the bits of the first three luminance frames into one word.
+    fn stream_fingerprint(seed: u64) -> u64 {
+        let mut scene = SceneGenerator::new(64, 40, seed);
+        let mut h = 0xCBF2_9CE4_8422_2325u64;
+        for _ in 0..3 {
+            for p in scene.next_frame_gray().pixels() {
+                h = (h ^ u64::from(p.to_bits())).wrapping_mul(0x0100_0000_01B3);
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn scene_stream_is_pinned() {
+        // Any change to the random stream or its mapping onto the scene
+        // moves these; every downstream golden depends on them.
+        assert_eq!(stream_fingerprint(42), 0x0C8B_6613_3AE4_C3BA);
+        assert_eq!(stream_fingerprint(5), 0xABE6_7CE0_0918_53B7);
+        assert_eq!(stream_fingerprint(2023), 0xCD99_6368_2BC4_FA90);
     }
 }

@@ -20,7 +20,7 @@ use presp::fpga::fault::{FaultConfig, FaultPlan, InjectedFaults, SplitMix64};
 use presp::fpga::frame::FrameAddress;
 use presp::runtime::manager::{ExecPath, ManagerStats, ReconfigManager, RecoveryPolicy};
 use presp::runtime::registry::BitstreamRegistry;
-use presp::runtime::threaded::ThreadedManager;
+use presp::runtime::threaded::{SpawnConfig, ThreadedManager};
 use presp::runtime::Error as RuntimeError;
 use presp::soc::config::{SocConfig, TileCoord};
 use presp::soc::sim::{csr, Soc};
@@ -499,8 +499,15 @@ fn run_threaded_schedule(seed: u64, workers: usize) -> (ManagerStats, u64, Strin
             .register(tile, AcceleratorKind::Sort, bitstream(&soc, 30 + i as u32))
             .unwrap();
     }
-    let manager: ThreadedManager =
-        ThreadedManager::spawn_with_workers(soc, registry, stress_policy(), workers);
+    let manager: ThreadedManager = ThreadedManager::spawn_with(
+        soc,
+        registry,
+        SpawnConfig {
+            policy: stress_policy(),
+            workers: Some(workers),
+            ..SpawnConfig::default()
+        },
+    );
 
     // Single blocking submitter: each request completes before the next
     // is admitted, so the submission order — and therefore the ticket
@@ -581,8 +588,15 @@ fn run_async_burst(seed: u64, workers: usize) -> (ManagerStats, u64) {
             .register(tile, AcceleratorKind::Sort, bitstream(&soc, 30 + i as u32))
             .unwrap();
     }
-    let manager: ThreadedManager =
-        ThreadedManager::spawn_with_workers(soc, registry, stress_policy(), workers);
+    let manager: ThreadedManager = ThreadedManager::spawn_with(
+        soc,
+        registry,
+        SpawnConfig {
+            policy: stress_policy(),
+            workers: Some(workers),
+            ..SpawnConfig::default()
+        },
+    );
 
     let mut queues: Vec<VecDeque<(TileCoord, AcceleratorKind, AccelOp, AccelValue)>> = (0
         ..APP_THREADS)
@@ -652,8 +666,15 @@ fn coalesced_reconfigure_burst_loads_once_and_answers_everyone() {
             .register(tile, AcceleratorKind::Sort, bitstream(&soc, 30 + i as u32))
             .unwrap();
     }
-    let manager: ThreadedManager =
-        ThreadedManager::spawn_with_workers(soc, registry, stress_policy(), 1);
+    let manager: ThreadedManager = ThreadedManager::spawn_with(
+        soc,
+        registry,
+        SpawnConfig {
+            policy: stress_policy(),
+            workers: Some(1),
+            ..SpawnConfig::default()
+        },
+    );
 
     // Occupy the single worker: its lock-free behavioral evaluation of a
     // two-million-element sort takes real wall time, during which it
@@ -711,8 +732,14 @@ fn os_thread_stress_with_faults_completes_and_shuts_down_cleanly() {
             .register(tile, AcceleratorKind::Sort, bitstream(&soc, 30 + i as u32))
             .unwrap();
     }
-    let manager: ThreadedManager =
-        ThreadedManager::spawn_with_policy(soc, registry, stress_policy());
+    let manager: ThreadedManager = ThreadedManager::spawn_with(
+        soc,
+        registry,
+        SpawnConfig {
+            policy: stress_policy(),
+            ..SpawnConfig::default()
+        },
+    );
 
     let handles: Vec<_> = (0..APP_THREADS)
         .map(|t| {

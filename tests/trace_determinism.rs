@@ -118,7 +118,7 @@ fn sharded_threaded_run(workers: usize) -> (Vec<TraceRecord>, u64) {
     use presp::fpga::bitstream::{Bitstream, BitstreamBuilder, BitstreamKind};
     use presp::fpga::frame::FrameAddress;
     use presp::runtime::registry::BitstreamRegistry;
-    use presp::runtime::threaded::ThreadedManager;
+    use presp::runtime::threaded::{SpawnConfig, ThreadedManager};
     use presp::soc::config::SocConfig;
     use presp::soc::sim::Soc;
 
@@ -143,8 +143,14 @@ fn sharded_threaded_run(workers: usize) -> (Vec<TraceRecord>, u64) {
             .register(tile, AcceleratorKind::Sort, bitstream(&soc, 30 + i as u32))
             .unwrap();
     }
-    let mgr: ThreadedManager =
-        ThreadedManager::spawn_with_workers(soc, registry, RecoveryPolicy::default(), workers);
+    let mgr: ThreadedManager = ThreadedManager::spawn_with(
+        soc,
+        registry,
+        SpawnConfig {
+            workers: Some(workers),
+            ..SpawnConfig::default()
+        },
+    );
     let sink = ShardedSink::new(workers);
     mgr.attach_sharded_tracer(&sink);
 
