@@ -6,7 +6,7 @@
 //! relocation — reload an idle module a few frames over and coalesce the
 //! holes. This module is that daemon for the simulated stack: a
 //! maintenance worker attached to the sharded
-//! [`crate::scheduler::Scheduler`], sibling of the
+//! [`crate::threaded::ThreadedManager`], sibling of the
 //! [`crate::scrubber::ScrubberDaemon`].
 //!
 //! A repack pass is transactional per move and quiescent as a whole:
@@ -154,7 +154,7 @@ impl<S: SyncFacade> Defragmenter<S> {
     }
 
     fn boot(manager: &ThreadedManager<S>, mutants: DefragMutantConfig) -> Defragmenter<S> {
-        let shared = Arc::clone(&manager.sched.shared);
+        let shared = Arc::clone(&manager.shared);
         let defrag_stats = Arc::new(S::mutex_labeled("defrag", DefragStats::default()));
         let (tx, rx) = S::channel::<DefragRequest<S>>();
         let worker_shared = Arc::clone(&shared);

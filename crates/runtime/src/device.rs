@@ -25,6 +25,7 @@ use presp_events::trace::ClockDomain;
 use presp_events::{Loc, SharedSink, TraceEvent};
 use presp_floorplan::{FitPolicy, RegionAllocator};
 use presp_fpga::bitstream::Bitstream;
+use presp_fpga::fault::FaultPlan;
 use presp_soc::config::TileCoord;
 use presp_soc::sim::Soc;
 use std::fmt;
@@ -181,6 +182,14 @@ impl DeviceCore {
     /// Hit/miss counters of the verified-bitstream cache.
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
+    }
+
+    /// Installs (or disarms, with `None`) the SoC's fault plan. The
+    /// threaded handle calls this rather than `Soc::set_fault_plan`:
+    /// `presp-analyze` resolves calls by bare name, and a unique name would
+    /// read as the handle's own method re-entered under `core`.
+    pub(crate) fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
+        self.soc.set_fault_plan(plan);
     }
 
     /// Replaces the verified-bitstream cache (e.g. to change capacity).

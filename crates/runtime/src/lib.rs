@@ -15,14 +15,17 @@
 //!   genuinely shared resources (ICAP/DFXC timelines, configuration
 //!   memory, NoC, the registry and its verified-bitstream [`cache`])
 //!   live in one [`device::DeviceCore`].
-//! * [`scheduler`] — the multi-worker scheduler: per-tile request
-//!   queues drained by a worker pool, with request coalescing, a
-//!   commit-order ticket gate that keeps results identical for any
-//!   worker count, and lock-free evaluation of behavioral results.
-//! * [`threaded`] — the workqueue front-end over the scheduler: blocking
-//!   and asynchronous submission APIs for real OS threads. Generic over
+//! * [`threaded`] — the workqueue front-end: [`threaded::ThreadedManager`],
+//!   the one handle to the threaded runtime. It boots the scheduler
+//!   engine and offers blocking and asynchronous submission for real OS
+//!   threads, the counters and shutdown. Generic over
 //!   [`sync::SyncFacade`], so the same protocol runs in production
 //!   (`std::sync`) and under the `presp-check` model checker.
+//! * [`scheduler`] — the multi-worker scheduler engine behind that
+//!   handle: per-tile request queues drained by a worker pool, with
+//!   request coalescing, a commit-order ticket gate that keeps results
+//!   identical for any worker count, lock-free evaluation of behavioral
+//!   results, and the supervisor.
 //! * [`scrubber`] — the configuration-memory scrubber daemon: a
 //!   maintenance worker sharing the scheduler's tile shards and device
 //!   core that walks configuration frames, repairs SEUs with the

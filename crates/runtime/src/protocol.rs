@@ -5,10 +5,11 @@
 //! retry/backoff/quarantine recovery and ECC scrubbing) shared by both
 //! runtimes: the deterministic [`crate::manager::ReconfigManager`] calls
 //! them with its directly-owned shards, and the OS-threaded
-//! [`crate::scheduler::Scheduler`] calls them while holding the per-tile
-//! shard lock and the device-core lock. Every trace event, counter
-//! update and virtual-time decision lives here, so both paths are
-//! byte-identical by construction.
+//! [`crate::threaded::ThreadedManager`]'s workers call them while holding
+//! the per-tile shard lock and the device-core lock. Every trace event,
+//! counter update and virtual-time decision lives here, so both paths are
+//! byte-identical by construction — a claim `tests/runtime_differential.rs`
+//! checks over a seed × fault-rate matrix at 1 and 4 workers.
 //!
 //! The `precomputed` parameters carry a behavioral result evaluated
 //! *outside* the locks (accelerator instances are stateless, so the

@@ -1,13 +1,14 @@
-//! The OS-threaded workqueue front-end.
+//! The OS-threaded workqueue front-end: the one handle to the DPR runtime.
 //!
 //! The paper's manager "uses the built-in kernel workqueue to manage
 //! multiple reconfiguration requests": application threads enqueue
 //! requests; the queue executes them as soon as the PRC is ready; callers
-//! wait for completion. This module is the blocking API over the sharded
-//! [`crate::scheduler::Scheduler`]: per-tile queues drained by a pool of
+//! wait for completion. [`ThreadedManager`] is that workqueue: it boots
+//! the [`crate::scheduler`] engine — per-tile queues drained by a pool of
 //! worker threads, with only the ICAP/NoC critical section serializing
 //! (in global ticket order, so results are reproducible for any worker
-//! count — see the scheduler docs).
+//! count) — and offers blocking and asynchronous submission, the
+//! counters and shutdown.
 //!
 //! The whole protocol is generic over [`SyncFacade`]: production code
 //! instantiates [`ThreadedManager`] (= `ThreadedManager<StdSync>`, plain
@@ -21,17 +22,25 @@ use crate::cache::CacheStats;
 use crate::error::Error;
 use crate::manager::{ExecPath, ManagerStats, RecoveryPolicy};
 use crate::registry::BitstreamRegistry;
-use crate::scheduler::{MutantConfig, Pending, Scheduler, SchedulerStats, DEFAULT_CACHE_CAPACITY};
-use crate::sync::{StdSync, SyncFacade};
+use crate::scheduler::{
+    supervisor_loop, worker_loop, MutantConfig, Payload, SchedulerStats, Shared, Shed,
+    WorkerHandles, DEFAULT_CACHE_CAPACITY,
+};
+use crate::supervisor::{SupervisorStats, WorkerFaultPlan};
+use crate::sync::{Arc, StdSync, SyncFacade};
 use presp_accel::catalog::AcceleratorKind;
 use presp_accel::AccelOp;
+use presp_floorplan::{FitPolicy, FragmentationStats, RegionLease};
+use presp_fpga::fault::{FaultPlan, InjectedFaults};
 use presp_soc::config::TileCoord;
 use presp_soc::sim::{AccelRun, Soc};
+use std::time::Duration;
 
 /// A thread-safe handle to the DPR runtime: clone it into as many
-/// application threads as you like. Requests to independent tiles are
-/// prepared concurrently by the worker pool; the shared device commits
-/// them in admission order.
+/// application threads as you like. Clones share the same queues, shards
+/// and device core. Requests to independent tiles are prepared
+/// concurrently by the worker pool; the shared device commits them in
+/// admission order (see the [`crate::scheduler`] docs).
 ///
 /// # Example
 ///
@@ -51,13 +60,15 @@ use presp_soc::sim::{AccelRun, Soc};
 /// # Ok(()) }
 /// ```
 pub struct ThreadedManager<S: SyncFacade = StdSync> {
-    pub(crate) sched: Scheduler<S>,
+    pub(crate) shared: Arc<Shared<S>>,
+    workers: WorkerHandles<S>,
 }
 
 impl<S: SyncFacade> Clone for ThreadedManager<S> {
     fn clone(&self) -> ThreadedManager<S> {
         ThreadedManager {
-            sched: self.sched.clone(),
+            shared: Arc::clone(&self.shared),
+            workers: Arc::clone(&self.workers),
         }
     }
 }
@@ -89,6 +100,34 @@ impl Default for SpawnConfig {
     }
 }
 
+/// An admitted request's completion handle.
+///
+/// Submission APIs return immediately; `wait` blocks for the worker's
+/// reply. Dropping a `Pending` abandons the request (the worker's reply
+/// goes nowhere, the work still happens).
+pub struct Pending<S: SyncFacade, T: Send + 'static> {
+    rx: S::Receiver<Result<T, Error>>,
+}
+
+impl<S: SyncFacade, T: Send + 'static> Pending<S, T> {
+    /// Blocks until the request is answered.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::ManagerStopped`] when the manager shut down before
+    /// answering, plus whatever the request itself produced.
+    pub fn wait(self) -> Result<T, Error> {
+        S::recv(&self.rx).ok_or(Error::ManagerStopped)?
+    }
+
+    /// A handle that is already answered (refused-at-submit requests).
+    fn ready(result: Result<T, Error>) -> Pending<S, T> {
+        let (tx, rx) = S::channel();
+        let _ = S::send(&tx, result);
+        Pending { rx }
+    }
+}
+
 impl ThreadedManager<StdSync> {
     /// Boots the worker pool over a SoC and registry with
     /// [`SpawnConfig::default`].
@@ -98,7 +137,8 @@ impl ThreadedManager<StdSync> {
 }
 
 impl<S: SyncFacade> ThreadedManager<S> {
-    /// Boots the worker pool under any sync facade with an explicit
+    /// Boots the worker pool — and, under `policy.supervised`, the
+    /// supervisor thread — under any sync facade with an explicit
     /// configuration.
     pub fn spawn_with(
         soc: Soc,
@@ -107,34 +147,95 @@ impl<S: SyncFacade> ThreadedManager<S> {
     ) -> ThreadedManager<S> {
         let workers = config
             .workers
-            .unwrap_or_else(|| soc.config().reconfigurable_tiles().len().max(1));
+            .unwrap_or_else(|| soc.config().reconfigurable_tiles().len())
+            .max(1);
+        let shared = Arc::new(Shared::new(soc, registry, &config, workers));
+        let handles: Vec<_> = (0..workers)
+            .map(|i| {
+                let shared = Arc::clone(&shared);
+                S::spawn(
+                    match i {
+                        0 => "presp-worker-0",
+                        1 => "presp-worker-1",
+                        2 => "presp-worker-2",
+                        3 => "presp-worker-3",
+                        _ => "presp-worker-n",
+                    },
+                    move || worker_loop(&shared, i),
+                )
+            })
+            .collect();
+        let workers_handle: WorkerHandles<S> = Arc::new(S::mutex_labeled("worker", Some(handles)));
+        if shared.policy.supervised {
+            let sup_shared = Arc::clone(&shared);
+            let sup_workers = Arc::clone(&workers_handle);
+            let handle = S::spawn("presp-supervisor", move || {
+                supervisor_loop(&sup_shared, &sup_workers);
+            });
+            if let Some(handles) = S::lock(&workers_handle).as_mut() {
+                handles.push(handle);
+            }
+        }
         ThreadedManager {
-            sched: Scheduler::boot(
-                soc,
-                registry,
-                config.policy,
-                workers,
-                config.cache_capacity,
-                config.mutants,
-            ),
+            shared,
+            workers: workers_handle,
         }
     }
 
-    /// The underlying scheduler (asynchronous submissions, scheduling
-    /// metrics).
-    pub fn scheduler(&self) -> &Scheduler<S> {
-        &self.sched
+    /// The one admission path behind every `submit_*`: the circuit
+    /// breaker (`policy.breaker` refuses a quarantined tile at the door),
+    /// the virtual-time deadline stamp, coalescing and the bounded-queue
+    /// controller. Refusals come back as an already-answered [`Pending`].
+    fn submit<T: Send + 'static>(
+        &self,
+        tile: TileCoord,
+        payload: impl FnOnce(S::Sender<Result<T, Error>>) -> Payload<S>,
+    ) -> Pending<S, T> {
+        let shared = &self.shared;
+        if shared.breaker_trips(tile) {
+            shared.settle_shed(Shed::refused(tile));
+            return Pending::ready(Err(Error::TileQuarantined { tile }));
+        }
+        let (tx, rx) = S::channel();
+        let payload = payload(tx);
+        // Runs never carry a deadline — a missed deadline is a
+        // reconfiguration-ledger outcome and plain runs are outside it.
+        let deadline_at = match payload {
+            Payload::Run { .. } => None,
+            _ => shared.deadline_from_now(),
+        };
+        let (admitted, shed) = shared.admit(tile, deadline_at, payload);
+        let pending = match admitted {
+            Ok(enqueued) => {
+                if enqueued {
+                    S::notify_all(&shared.work);
+                }
+                Pending { rx }
+            }
+            Err(e) => Pending::ready(Err(e)),
+        };
+        if let Some(shed) = shed {
+            shared.settle_shed(shed);
+        }
+        pending
     }
 
     /// Submits a reconfiguration without blocking; identical pending
-    /// requests coalesce into one load.
+    /// requests coalesce into one load. A full bounded queue refuses or
+    /// sheds per `policy.overload`.
     pub fn submit_reconfigure(&self, tile: TileCoord, kind: AcceleratorKind) -> Pending<S, ()> {
-        self.sched.submit_reconfigure(tile, kind)
+        self.submit(tile, |tx| Payload::Reconfigure {
+            kind,
+            done: vec![tx],
+        })
     }
 
     /// Submits an accelerator invocation without blocking.
     pub fn submit_run(&self, tile: TileCoord, op: AccelOp) -> Pending<S, AccelRun> {
-        self.sched.submit_run(tile, op)
+        self.submit(tile, |done| Payload::Run {
+            op: Box::new(op),
+            done,
+        })
     }
 
     /// Submits an ensure-loaded-then-run request without blocking.
@@ -144,7 +245,11 @@ impl<S: SyncFacade> ThreadedManager<S> {
         kind: AcceleratorKind,
         op: AccelOp,
     ) -> Pending<S, (AccelRun, ExecPath)> {
-        self.sched.submit_execute(tile, kind, op)
+        self.submit(tile, |done| Payload::Execute {
+            kind,
+            op: Box::new(op),
+            done,
+        })
     }
 
     /// Enqueues a reconfiguration and blocks until it completes.
@@ -158,7 +263,7 @@ impl<S: SyncFacade> ThreadedManager<S> {
         tile: TileCoord,
         kind: AcceleratorKind,
     ) -> Result<(), Error> {
-        self.sched.submit_reconfigure(tile, kind).wait()
+        self.submit_reconfigure(tile, kind).wait()
     }
 
     /// Enqueues an accelerator invocation and blocks for its result.
@@ -174,15 +279,23 @@ impl<S: SyncFacade> ThreadedManager<S> {
     /// SoC errors.
     pub fn run_blocking(&self, tile: TileCoord, op: AccelOp) -> Result<AccelRun, Error> {
         loop {
-            match self.sched.submit_run(tile, op.clone()).wait() {
-                Err(Error::NoDriver { .. }) => {
-                    // Wait for a reconfiguration to finish, then retry —
-                    // unless the tile was quarantined, in which case no
-                    // reconfiguration will ever complete here.
-                    self.sched.wait_for_reconfig(tile)?;
-                }
+            match self.submit_run(tile, op.clone()).wait() {
+                Err(Error::NoDriver { .. }) => {}
                 other => return other,
             }
+            // Wait (bounded) for a reconfiguration to finish, then retry —
+            // unless the tile was quarantined, in which case no
+            // reconfiguration will ever complete here.
+            let shard = self
+                .shared
+                .shards
+                .get(&tile)
+                .ok_or(Error::Soc(presp_soc::Error::NoSuchTile { coord: tile }))?;
+            let state = S::lock(&shard.state);
+            if state.is_quarantined() {
+                return Err(Error::TileQuarantined { tile });
+            }
+            let _unused = S::wait_timeout(&shard.reconfig_done, state, Duration::from_millis(50));
         }
     }
 
@@ -202,7 +315,20 @@ impl<S: SyncFacade> ThreadedManager<S> {
         kind: AcceleratorKind,
         op: AccelOp,
     ) -> Result<(AccelRun, ExecPath), Error> {
-        self.sched.submit_execute(tile, kind, op).wait()
+        self.submit_execute(tile, kind, op).wait()
+    }
+
+    /// Monotone count of head-job checkouts on `tile`. Latching probe for
+    /// open-loop harnesses that must order a burst after a pinning
+    /// request has actually been picked up: sample before submitting,
+    /// then spin until the count moves — a short-lived claim window can't
+    /// be missed the way polling an instantaneous "claimed" flag could.
+    /// Unknown tiles read as zero.
+    pub fn tile_claims(&self, tile: TileCoord) -> u64 {
+        self.shared
+            .shards
+            .get(&tile)
+            .map_or(0, |shard| S::lock(&shard.queue).claims)
     }
 
     /// Manager statistics snapshot.
@@ -211,55 +337,76 @@ impl<S: SyncFacade> ThreadedManager<S> {
     /// lock (a panicking worker must not take crash forensics down with
     /// it).
     pub fn stats(&self) -> ManagerStats {
-        self.sched.stats()
+        S::lock_recover(&self.shared.core).stats()
     }
 
-    /// Wall-clock scheduling metrics: queue-wait percentiles, coalesced
-    /// submissions, backlog high-water mark.
+    /// Wall-clock scheduling metrics — queue-wait percentiles, coalesced
+    /// submissions, backlog high-water mark — plus a fragmentation
+    /// snapshot when amorphous floorplanning is enabled. Recovers from
+    /// poisoned locks. Two-phase: the admission guard is scoped closed
+    /// before the core lock is taken, so this read path adds no
+    /// `sched_admission` → `core` lock-order edge.
     pub fn scheduler_stats(&self) -> SchedulerStats {
-        self.sched.scheduler_stats()
+        let mut stats = {
+            let adm = S::lock_recover(&self.shared.admission);
+            adm.stats.clone()
+        };
+        let core = S::lock_recover(&self.shared.core);
+        if let Some(frag) = core.allocator().map(|a| a.stats()) {
+            stats.free_columns = frag.free_columns as u64;
+            stats.largest_free_span = frag.largest_free_span as u64;
+            stats.external_fragmentation = frag.external_fragmentation();
+        }
+        stats
     }
 
     /// Hit/miss counters of the verified-bitstream cache.
     pub fn cache_stats(&self) -> CacheStats {
-        self.sched.cache_stats()
+        S::lock_recover(&self.shared.core).cache_stats()
     }
 
     /// Switches the device core from fixed sockets to amorphous
-    /// floorplanning over the whole fabric — see
-    /// [`crate::scheduler::Scheduler::enable_regions`]. Must run before
-    /// the first load.
+    /// floorplanning over the whole fabric. Must run before the first
+    /// load; see the device core's `enable_regions`.
     ///
     /// # Errors
     ///
     /// [`presp_soc::Error::RegionConflict`] when any tile already loaded.
-    pub fn enable_regions(&self, policy: presp_floorplan::FitPolicy) -> Result<(), Error> {
-        self.sched.enable_regions(policy)
+    pub fn enable_regions(&self, policy: FitPolicy) -> Result<(), Error> {
+        S::lock(&self.shared.core).enable_regions(policy, None)
     }
 
     /// [`ThreadedManager::enable_regions`] confined to the column window
-    /// `window` — the PR share of the fabric.
+    /// `window` — the PR share of the fabric, with the static system
+    /// outside it.
     ///
     /// # Errors
     ///
     /// [`presp_soc::Error::RegionConflict`] when any tile already loaded.
     pub fn enable_regions_within(
         &self,
-        policy: presp_floorplan::FitPolicy,
+        policy: FitPolicy,
         window: std::ops::Range<u32>,
     ) -> Result<(), Error> {
-        self.sched.enable_regions_within(policy, window)
+        S::lock(&self.shared.core).enable_regions(policy, Some(window))
     }
 
     /// Fragmentation snapshot of the region allocator; `None` on the
     /// fixed-socket path.
-    pub fn fragmentation(&self) -> Option<presp_floorplan::FragmentationStats> {
-        self.sched.fragmentation()
+    pub fn fragmentation(&self) -> Option<FragmentationStats> {
+        S::lock_recover(&self.shared.core)
+            .allocator()
+            .map(|a| a.stats())
     }
 
-    /// The live region lease of `tile` (amorphous floorplanning only).
-    pub fn tile_lease(&self, tile: TileCoord) -> Option<presp_floorplan::RegionLease> {
-        self.sched.tile_lease(tile)
+    /// The live region lease of `tile` (amorphous floorplanning only);
+    /// `None` for unknown tiles, unloaded tiles, or the fixed-socket
+    /// path.
+    pub fn tile_lease(&self, tile: TileCoord) -> Option<RegionLease> {
+        self.shared
+            .shards
+            .get(&tile)
+            .and_then(|shard| S::lock(&shard.state).lease().cloned())
     }
 
     /// Latest completion cycle on the shared virtual clock — the
@@ -269,7 +416,7 @@ impl<S: SyncFacade> ThreadedManager<S> {
     ///
     /// Like [`ThreadedManager::stats`], survives a poisoned core lock.
     pub fn makespan(&self) -> u64 {
-        self.sched.makespan()
+        S::lock_recover(&self.shared.core).soc().horizon()
     }
 
     /// Attaches a trace sink to the underlying SoC: worker-dispatched
@@ -280,64 +427,118 @@ impl<S: SyncFacade> ThreadedManager<S> {
     /// unreachable. (This used to go through the panicking lock and died
     /// exactly when forensics were needed.)
     pub fn attach_tracer(&self, sink: presp_events::SharedSink) {
-        self.sched.attach_tracer(sink);
+        // Straight to the tracer, as the worker loop does: `presp-analyze`
+        // resolves calls by bare name, so `Soc::attach_tracer` here would
+        // read as this method re-entering itself under `core`.
+        S::lock_recover(&self.shared.core)
+            .soc_mut()
+            .tracer_mut()
+            .attach(sink);
     }
 
     /// Attaches a sharded trace sink: worker `i` commits through shard
     /// `i mod sink.len()`, so concurrent commits never contend on one
-    /// sink mutex, and [`presp_events::ShardedSink::drain_merged`]
-    /// reproduces the exact single-sink log byte for byte at any worker
-    /// count — see [`crate::scheduler::Scheduler::attach_sharded_tracer`].
+    /// sink mutex. The tracer's seq counter survives per-commit shard
+    /// re-attachment and commits are gate-serialized, so
+    /// [`presp_events::ShardedSink::drain_merged`] reproduces the exact
+    /// single-sink log byte for byte at any worker count.
     pub fn attach_sharded_tracer(&self, sink: &presp_events::ShardedSink) {
-        self.sched.attach_sharded_tracer(sink);
+        let mut core = S::lock_recover(&self.shared.core);
+        core.set_trace_shards((0..sink.len()).map(|i| sink.shard(i)).collect());
+        // Attach shard 0 immediately so emissions before the first
+        // worker commit (boot-time spans, scrubber passes) are recorded.
+        // Straight to the tracer, for the reason given in `attach_tracer`.
+        core.soc_mut().tracer_mut().attach(sink.shard(0));
     }
 
-    /// Installs (or disarms) a fault plan on the underlying SoC — see
-    /// [`crate::scheduler::Scheduler::set_fault_plan`].
-    pub fn set_fault_plan(&self, plan: Option<presp_fpga::fault::FaultPlan>) {
-        self.sched.set_fault_plan(plan);
+    /// Installs (or disarms, with `None`) a fault plan on the underlying
+    /// SoC. Spec-driven harnesses arm a seeded plan before driving a
+    /// workload and disarm it before a confirmation sweep; quiesce the
+    /// workload first — swapping the plan mid-request changes which hook
+    /// draws the in-flight request sees.
+    pub fn set_fault_plan(&self, plan: Option<FaultPlan>) {
+        S::lock_recover(&self.shared.core).set_fault_plan(plan);
     }
 
-    /// Faults the installed plan has injected so far.
-    pub fn injected_faults(&self) -> presp_fpga::fault::InjectedFaults {
-        self.sched.injected_faults()
+    /// Faults the installed plan has injected so far (all zero when no
+    /// plan is armed). Post-mortem path: recovers from a poisoned core
+    /// lock.
+    pub fn injected_faults(&self) -> InjectedFaults {
+        S::lock_recover(&self.shared.core)
+            .soc()
+            .fault_plan()
+            .map(FaultPlan::injected)
+            .unwrap_or_default()
     }
 
-    /// Tiles currently quarantined, in coordinate order.
+    /// Tiles currently quarantined, in coordinate order. Post-mortem
+    /// path: recovers from poisoned shard locks.
     pub fn quarantined_tiles(&self) -> Vec<TileCoord> {
-        self.sched.quarantined_tiles()
+        self.shared
+            .shards
+            .iter()
+            .filter(|(_, shard)| S::lock_recover(&shard.state).is_quarantined())
+            .map(|(&coord, _)| coord)
+            .collect()
     }
 
-    /// Installs (or disarms) a worker-software-fault plan — see
-    /// [`crate::scheduler::Scheduler::set_worker_fault_plan`]. Only a
-    /// supervised manager (`RecoveryPolicy::supervised`) consults it.
-    pub fn set_worker_fault_plan(&self, plan: Option<crate::supervisor::WorkerFaultPlan>) {
-        self.sched.set_worker_fault_plan(plan);
+    /// Installs (or disarms, with `None`) a worker-software-fault plan.
+    /// Only a supervised manager (`RecoveryPolicy::supervised`) consults
+    /// the plan; arm it before driving a workload.
+    pub fn set_worker_fault_plan(&self, plan: Option<WorkerFaultPlan>) {
+        *S::lock_recover(&self.shared.worker_faults) = plan;
     }
 
     /// Supervision counters (deaths, respawns, steals, redispatches)
-    /// with the fault plan's injection counters folded in.
-    pub fn supervisor_stats(&self) -> crate::supervisor::SupervisorStats {
-        self.sched.supervisor_stats()
+    /// with the installed fault plan's injection counters folded in.
+    /// Post-mortem path: recovers from poisoned locks.
+    pub fn supervisor_stats(&self) -> SupervisorStats {
+        let mut stats = S::lock_recover(&self.shared.supervisor).stats;
+        if let Some(plan) = S::lock_recover(&self.shared.worker_faults).as_ref() {
+            stats.merge_injections(plan.injected());
+        }
+        stats
     }
 
-    /// Tickets admitted but neither committed nor retired. Zero on any
-    /// quiesced manager — the supervision layer's "no orphaned tickets"
-    /// invariant.
+    /// Tickets admitted but neither committed nor retired, plus claims
+    /// still registered with the supervisor. Zero on any quiesced
+    /// manager — the "no orphaned tickets" invariant the supervision
+    /// layer preserves across worker deaths, hangs and sheds.
     pub fn orphaned_tickets(&self) -> u64 {
-        self.sched.orphaned_tickets()
+        let claims = S::lock_recover(&self.shared.supervisor).claims.len() as u64;
+        let next_ticket = S::lock_recover(&self.shared.admission).next_ticket;
+        let gate_next = S::lock_recover(&self.shared.gate).next;
+        claims + next_ticket.saturating_sub(gate_next)
     }
 
     /// Caller-side unlocked read the `unsynced_stats` mutant races with.
     #[doc(hidden)]
     pub fn unsynced_runs(&self) -> u64 {
-        self.sched.unsynced_runs()
+        self.shared.racy_runs.read()
     }
 
-    /// Stops the workers and joins them. Idempotent, and — like the other
-    /// post-mortem paths — tolerant of poisoned locks.
+    /// Stops the workers and joins them: pending unclaimed jobs are
+    /// answered with [`Error::ManagerStopped`], their tickets retired so
+    /// in-flight workers still pass the gate; hung claims are released
+    /// the same way and the supervisor thread is told to exit.
+    /// Idempotent and tolerant of poisoned locks.
     pub fn shutdown(&self) {
-        self.sched.shutdown();
+        self.shared.drain_to_stop();
+        S::notify_all(&self.shared.work);
+        self.shared.release_wedged_claims();
+        // Take the handles in a standalone statement: the workers-lock
+        // guard must drop before joining, or a supervisor respawn racing
+        // shutdown would deadlock pushing into the held lock.
+        let handles = S::lock_recover(&self.workers).take();
+        if let Some(handles) = handles {
+            for handle in handles {
+                let _ = S::join(handle);
+            }
+        }
+        // Unblock any thread parked in a blocking wait loop.
+        for shard in self.shared.shards.values() {
+            S::notify_all(&shard.reconfig_done);
+        }
     }
 }
 
@@ -638,7 +839,7 @@ mod tests {
             .unwrap();
         let poisoner = mgr.clone();
         let _ = std::thread::spawn(move || {
-            let _guard = poisoner.sched.shared.core.lock().unwrap();
+            let _guard = poisoner.shared.core.lock().unwrap();
             panic!("crash while holding the core lock");
         })
         .join();
@@ -662,7 +863,7 @@ mod tests {
             .unwrap();
         let poisoner = mgr.clone();
         let _ = std::thread::spawn(move || {
-            let _guard = poisoner.sched.shared.core.lock().unwrap();
+            let _guard = poisoner.shared.core.lock().unwrap();
             panic!("crash while holding the core lock");
         })
         .join();
@@ -670,7 +871,7 @@ mod tests {
         // succeed and the sink must really reach the SoC.
         let sink = presp_events::MemorySink::shared();
         mgr.attach_tracer(sink.clone());
-        let mut core = match mgr.sched.shared.core.lock() {
+        let mut core = match mgr.shared.core.lock() {
             Ok(guard) => guard,
             Err(poisoned) => poisoned.into_inner(),
         };

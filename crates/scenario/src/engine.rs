@@ -25,12 +25,14 @@ use presp_events::MemorySink;
 use presp_fpga::bitstream::{Bitstream, BitstreamBuilder, BitstreamKind};
 use presp_fpga::fault::{FaultPlan, InjectedFaults, SplitMix64};
 use presp_fpga::frame::FrameAddress;
-use presp_runtime::defrag::Defragmenter;
+use presp_runtime::cache::CacheStats;
+use presp_runtime::defrag::{DefragStats, Defragmenter};
 use presp_runtime::error::Error;
-use presp_runtime::manager::ExecPath;
+use presp_runtime::manager::{ExecPath, ManagerStats};
 use presp_runtime::registry::BitstreamRegistry;
-use presp_runtime::scrubber::ScrubberDaemon;
-use presp_runtime::supervisor::{install_quiet_panic_hook, WorkerFaultPlan};
+use presp_runtime::scheduler::SchedulerStats;
+use presp_runtime::scrubber::{ScrubberDaemon, ScrubberStats};
+use presp_runtime::supervisor::{install_quiet_panic_hook, SupervisorStats, WorkerFaultPlan};
 use presp_runtime::threaded::{SpawnConfig, ThreadedManager};
 use presp_soc::config::{SocConfig, TileCoord};
 use presp_soc::sim::Soc;
@@ -53,7 +55,7 @@ pub struct RunObservation {
     pub seed: u64,
     /// The worker count it ran with.
     pub workers: usize,
-    /// Deterministic totals, keyed by [`crate::spec::STAT_KEYS`] entries.
+    /// Deterministic totals, one per [`crate::spec::STAT_KEYS`] entry.
     pub stats: BTreeMap<&'static str, u64>,
     /// Whether `ManagerStats::consistent()` held.
     pub stats_consistent: bool,
@@ -199,7 +201,7 @@ fn job_op(catalog: &[CatalogKind], t: usize, j: usize) -> (AcceleratorKind, Acce
 
 /// Engine-side accounting the drive loop accumulates.
 #[derive(Debug, Default)]
-struct DriveTally {
+pub(crate) struct DriveTally {
     submitted: u64,
     completed_ok: u64,
     cpu_fallbacks: u64,
@@ -224,6 +226,96 @@ impl DriveTally {
         }
     }
 }
+
+/// Every counter source one run's stats are read from, snapshotted after
+/// shutdown.
+pub(crate) struct StatSources {
+    manager: ManagerStats,
+    sched: SchedulerStats,
+    cache: CacheStats,
+    supervisor: SupervisorStats,
+    orphaned_tickets: u64,
+    defrag: DefragStats,
+    scrubber: ScrubberStats,
+    injected: InjectedFaults,
+    tally: DriveTally,
+    quarantined_tiles: u64,
+}
+
+/// Reads one stat from a run's snapshot.
+type StatReader = fn(&StatSources) -> u64;
+
+/// Every scenario stat as `(name, reader)`, in the order the parser lists
+/// them. The one place a stat is named: the parser's key set
+/// ([`crate::spec::STAT_KEYS`]) and each run's stat map are both derived
+/// from it.
+pub(crate) const STATS: &[(&str, StatReader)] = &[
+    // ManagerStats
+    ("reconfig_requests", |s| s.manager.reconfig_requests),
+    ("reconfigurations", |s| s.manager.reconfigurations),
+    ("driver_cache_hits", |s| s.manager.cache_hits),
+    ("coalesced", |s| s.manager.coalesced),
+    ("retries_exhausted", |s| s.manager.retries_exhausted),
+    ("rejected", |s| s.manager.rejected),
+    ("retries", |s| s.manager.retries),
+    ("quarantines", |s| s.manager.quarantines),
+    ("reconfig_cycles", |s| s.manager.reconfig_cycles),
+    ("runs", |s| s.manager.runs),
+    ("fallback_runs", |s| s.manager.fallback_runs),
+    ("scrub_passes", |s| s.manager.scrub_passes),
+    ("frames_repaired", |s| s.manager.frames_repaired),
+    ("scrub_quarantines", |s| s.manager.scrub_quarantines),
+    ("deadline_misses", |s| s.manager.deadline_misses),
+    ("shed", |s| s.manager.shed),
+    // Amorphous-floorplanning accounting (ManagerStats)
+    ("oversized_rejected", |s| s.manager.oversized_rejected),
+    ("oversized_admitted", |s| s.manager.oversized_admitted),
+    ("repack_admitted", |s| s.manager.repack_admitted),
+    // Defragmenter counters
+    ("defrag_passes", |s| s.defrag.passes),
+    ("defrag_moves", |s| s.defrag.moves),
+    ("frames_moved", |s| s.defrag.frames_moved),
+    // SupervisorStats
+    ("worker_deaths", |s| s.supervisor.worker_deaths),
+    ("worker_respawns", |s| s.supervisor.worker_respawns),
+    ("redispatches", |s| s.supervisor.redispatches),
+    ("injected_worker_panics", |s| s.supervisor.panics_injected),
+    ("injected_worker_hangs", |s| s.supervisor.hangs_injected),
+    ("injected_worker_stalls", |s| s.supervisor.stalls_injected),
+    ("orphaned_tickets", |s| s.orphaned_tickets),
+    // SchedulerStats (the deterministic subset)
+    ("sched_admitted", |s| s.sched.admitted),
+    ("sched_completed", |s| s.sched.completed),
+    ("sched_coalesced", |s| s.sched.coalesced),
+    // Verified-bitstream cache
+    ("bitstream_cache_hits", |s| s.cache.hits),
+    ("bitstream_cache_misses", |s| s.cache.misses),
+    ("bitstream_cache_evictions", |s| s.cache.evictions),
+    // ScrubberDaemon counters
+    ("scrubber_passes", |s| s.scrubber.passes),
+    ("scrubber_clean_passes", |s| s.scrubber.clean_passes),
+    ("scrubber_frames_repaired", |s| s.scrubber.frames_repaired),
+    ("scrubber_quarantines", |s| s.scrubber.quarantines),
+    // Injected faults
+    ("injected_total", |s| s.injected.total()),
+    ("injected_icap_corruptions", |s| s.injected.icap_corruptions),
+    ("injected_dfxc_stalls", |s| s.injected.dfxc_stalls),
+    ("injected_registry_misses", |s| s.injected.registry_misses),
+    ("injected_decoupler_delays", |s| s.injected.decoupler_delays),
+    ("injected_seu_upsets", |s| s.injected.seu_upsets),
+    ("injected_seu_double_bits", |s| s.injected.seu_double_bits),
+    // Engine-level accounting
+    ("submitted", |s| s.tally.submitted),
+    ("completed_ok", |s| s.tally.completed_ok),
+    ("cpu_fallback_completions", |s| s.tally.cpu_fallbacks),
+    ("value_mismatches", |s| s.tally.value_mismatches),
+    ("lost_requests", |s| s.tally.lost_requests),
+    ("overloaded_rejections", |s| s.tally.overloaded),
+    ("deadline_cancellations", |s| s.tally.deadline_missed),
+    ("quarantined_tiles", |s| s.quarantined_tiles),
+    ("final_sweep_dirty", |s| s.tally.final_sweep_dirty),
+    ("region_rejections", |s| s.tally.region_rejections),
+];
 
 fn any_fault_configured(spec: &ScenarioSpec) -> bool {
     let f = &spec.faults;
@@ -384,14 +476,8 @@ fn run_cell(
     // post-commit bookkeeping, so pre-shutdown counters (and the
     // orphaned-ticket gauge) are not yet quiescent.
     manager.shutdown();
-    let mgr_stats = manager.stats();
-    let sched_stats = manager.scheduler_stats();
-    let cache_stats = manager.cache_stats();
-    let injected: InjectedFaults = manager.injected_faults();
     let quarantined = manager.quarantined_tiles();
     let makespan = manager.makespan();
-    let sup_stats = manager.supervisor_stats();
-    let orphaned_tickets = manager.orphaned_tickets();
     let records = presp_events::sink::snapshot(&sink);
     let trace_log = log_lines(&records);
     let mut event_counts: BTreeMap<String, u64> = BTreeMap::new();
@@ -401,72 +487,29 @@ fn run_cell(
             .or_insert(0) += 1;
     }
 
-    let mut stats: BTreeMap<&'static str, u64> = BTreeMap::new();
-    stats.insert("reconfig_requests", mgr_stats.reconfig_requests);
-    stats.insert("reconfigurations", mgr_stats.reconfigurations);
-    stats.insert("driver_cache_hits", mgr_stats.cache_hits);
-    stats.insert("coalesced", mgr_stats.coalesced);
-    stats.insert("retries_exhausted", mgr_stats.retries_exhausted);
-    stats.insert("rejected", mgr_stats.rejected);
-    stats.insert("retries", mgr_stats.retries);
-    stats.insert("quarantines", mgr_stats.quarantines);
-    stats.insert("reconfig_cycles", mgr_stats.reconfig_cycles);
-    stats.insert("runs", mgr_stats.runs);
-    stats.insert("fallback_runs", mgr_stats.fallback_runs);
-    stats.insert("scrub_passes", mgr_stats.scrub_passes);
-    stats.insert("frames_repaired", mgr_stats.frames_repaired);
-    stats.insert("scrub_quarantines", mgr_stats.scrub_quarantines);
-    stats.insert("deadline_misses", mgr_stats.deadline_misses);
-    stats.insert("shed", mgr_stats.shed);
-    stats.insert("oversized_rejected", mgr_stats.oversized_rejected);
-    stats.insert("oversized_admitted", mgr_stats.oversized_admitted);
-    stats.insert("repack_admitted", mgr_stats.repack_admitted);
-    let defrag = defrag_stats.unwrap_or_default();
-    stats.insert("defrag_passes", defrag.passes);
-    stats.insert("defrag_moves", defrag.moves);
-    stats.insert("frames_moved", defrag.frames_moved);
-    stats.insert("worker_deaths", sup_stats.worker_deaths);
-    stats.insert("worker_respawns", sup_stats.worker_respawns);
-    stats.insert("redispatches", sup_stats.redispatches);
-    stats.insert("injected_worker_panics", sup_stats.panics_injected);
-    stats.insert("injected_worker_hangs", sup_stats.hangs_injected);
-    stats.insert("injected_worker_stalls", sup_stats.stalls_injected);
-    stats.insert("orphaned_tickets", orphaned_tickets);
-    stats.insert("sched_admitted", sched_stats.admitted);
-    stats.insert("sched_completed", sched_stats.completed);
-    stats.insert("sched_coalesced", sched_stats.coalesced);
-    stats.insert("bitstream_cache_hits", cache_stats.hits);
-    stats.insert("bitstream_cache_misses", cache_stats.misses);
-    stats.insert("bitstream_cache_evictions", cache_stats.evictions);
-    let scrub = scrubber_stats.unwrap_or_default();
-    stats.insert("scrubber_passes", scrub.passes);
-    stats.insert("scrubber_clean_passes", scrub.clean_passes);
-    stats.insert("scrubber_frames_repaired", scrub.frames_repaired);
-    stats.insert("scrubber_quarantines", scrub.quarantines);
-    stats.insert("injected_total", injected.total());
-    stats.insert("injected_icap_corruptions", injected.icap_corruptions);
-    stats.insert("injected_dfxc_stalls", injected.dfxc_stalls);
-    stats.insert("injected_registry_misses", injected.registry_misses);
-    stats.insert("injected_decoupler_delays", injected.decoupler_delays);
-    stats.insert("injected_seu_upsets", injected.seu_upsets);
-    stats.insert("injected_seu_double_bits", injected.seu_double_bits);
-    stats.insert("submitted", tally.submitted);
-    stats.insert("completed_ok", tally.completed_ok);
-    stats.insert("cpu_fallback_completions", tally.cpu_fallbacks);
-    stats.insert("value_mismatches", tally.value_mismatches);
-    stats.insert("lost_requests", tally.lost_requests);
-    stats.insert("overloaded_rejections", tally.overloaded);
-    stats.insert("deadline_cancellations", tally.deadline_missed);
-    stats.insert("quarantined_tiles", quarantined.len() as u64);
-    stats.insert("final_sweep_dirty", tally.final_sweep_dirty);
-    stats.insert("region_rejections", tally.region_rejections);
+    let sources = StatSources {
+        manager: manager.stats(),
+        sched: manager.scheduler_stats(),
+        cache: manager.cache_stats(),
+        supervisor: manager.supervisor_stats(),
+        orphaned_tickets: manager.orphaned_tickets(),
+        defrag: defrag_stats.unwrap_or_default(),
+        scrubber: scrubber_stats.unwrap_or_default(),
+        injected: manager.injected_faults(),
+        tally,
+        quarantined_tiles: quarantined.len() as u64,
+    };
+    let stats = STATS
+        .iter()
+        .map(|&(name, read)| (name, read(&sources)))
+        .collect();
 
     (
         RunObservation {
             seed,
             workers,
             stats,
-            stats_consistent: mgr_stats.consistent(),
+            stats_consistent: sources.manager.consistent(),
             makespan,
             trace_log,
             event_counts,
@@ -586,14 +629,14 @@ fn drive_overload_burst(
     tally: &mut DriveTally,
 ) {
     let big: Vec<f32> = (0..pin_sort_len).rev().map(|i| i as f32).collect();
-    let claims_before = manager.scheduler().tile_claims(tiles[1]);
+    let claims_before = manager.tile_claims(tiles[1]);
     let busy = manager.submit_execute(tiles[1], AcceleratorKind::Sort, AccelOp::Sort { data: big });
     // The burst must race the bounded queue, not worker startup: spin
     // until the pin sort has been checked out (the claim counter is
     // latching, so a fast completion can't be missed), so a worker is
     // provably pinned when the burst begins and the shed count is
     // reproducible.
-    while manager.scheduler().tile_claims(tiles[1]) == claims_before {
+    while manager.tile_claims(tiles[1]) == claims_before {
         std::thread::yield_now();
     }
     let pending: Vec<_> = (0..burst)
@@ -743,11 +786,10 @@ pub fn observe(spec: &ScenarioSpec) -> ScenarioObservations {
     }
 }
 
-/// Totals a stat across every run.
+/// Totals a stat across every run. `key` is a parser-validated
+/// [`crate::spec::STAT_KEYS`] entry, present in every run's map.
 fn total(runs: &[RunObservation], key: &str) -> u64 {
-    runs.iter()
-        .map(|r| r.stats.get(key).copied().unwrap_or(0))
-        .sum()
+    runs.iter().map(|r| r.stats[key]).sum()
 }
 
 /// Totals every stat across every run (the report's `totals` object).
@@ -1138,6 +1180,34 @@ mod tests {
 
     fn spec(doc: &str) -> ScenarioSpec {
         ScenarioSpec::parse(doc).expect("valid spec")
+    }
+
+    #[test]
+    fn every_run_reports_exactly_the_parser_stat_keys() {
+        // `total` reads a key straight from the run map, so a name the
+        // parser accepts but the engine never fills would make
+        // `stat_eq … 0` pass without checking anything.
+        let parser: std::collections::BTreeSet<&str> =
+            crate::spec::STAT_KEYS.iter().copied().collect();
+        assert_eq!(
+            parser.len(),
+            crate::spec::STAT_KEYS.len(),
+            "duplicate stat name"
+        );
+        let verdict = run(&spec(
+            r#"{
+                "name": "stat_keys",
+                "fabric": {"soc_name": "stat-keys", "reconf_tiles": 1},
+                "catalog": ["mac"],
+                "seeds": {"count": 1},
+                "workload": {"kind": "blocking", "clients": 1, "ops_per_client": 1},
+                "assertions": [{"check": "stats_consistent"}]
+            }"#,
+        ));
+        for obs in &verdict.observations.runs {
+            let engine: std::collections::BTreeSet<&str> = obs.stats.keys().copied().collect();
+            assert_eq!(engine, parser);
+        }
     }
 
     #[test]

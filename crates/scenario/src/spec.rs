@@ -14,6 +14,7 @@
 //! `parse(serialize(spec)) == spec` for every valid spec (property-tested
 //! in `tests/parser_roundtrip.rs`).
 
+use crate::engine::STATS;
 use presp_events::json::{self, JsonValue};
 use presp_floorplan::FitPolicy;
 use presp_fpga::fault::FaultConfig;
@@ -255,75 +256,18 @@ pub enum Assertion {
     NoOrphanedTickets,
 }
 
-/// Every stat key the `stat_min`/`stat_max`/`stat_eq` assertions accept.
-/// Totals are summed across all runs of the scenario.
-pub const STAT_KEYS: &[&str] = &[
-    // ManagerStats
-    "reconfig_requests",
-    "reconfigurations",
-    "driver_cache_hits",
-    "coalesced",
-    "retries_exhausted",
-    "rejected",
-    "retries",
-    "quarantines",
-    "reconfig_cycles",
-    "runs",
-    "fallback_runs",
-    "scrub_passes",
-    "frames_repaired",
-    "scrub_quarantines",
-    "deadline_misses",
-    "shed",
-    // Amorphous-floorplanning accounting (ManagerStats)
-    "oversized_rejected",
-    "oversized_admitted",
-    "repack_admitted",
-    // Defragmenter counters
-    "defrag_passes",
-    "defrag_moves",
-    "frames_moved",
-    // SupervisorStats
-    "worker_deaths",
-    "worker_respawns",
-    "redispatches",
-    "injected_worker_panics",
-    "injected_worker_hangs",
-    "injected_worker_stalls",
-    "orphaned_tickets",
-    // SchedulerStats (the deterministic subset)
-    "sched_admitted",
-    "sched_completed",
-    "sched_coalesced",
-    // Verified-bitstream cache
-    "bitstream_cache_hits",
-    "bitstream_cache_misses",
-    "bitstream_cache_evictions",
-    // ScrubberDaemon counters
-    "scrubber_passes",
-    "scrubber_clean_passes",
-    "scrubber_frames_repaired",
-    "scrubber_quarantines",
-    // Injected faults
-    "injected_total",
-    "injected_icap_corruptions",
-    "injected_dfxc_stalls",
-    "injected_registry_misses",
-    "injected_decoupler_delays",
-    "injected_seu_upsets",
-    "injected_seu_double_bits",
-    // Engine-level accounting
-    "submitted",
-    "completed_ok",
-    "cpu_fallback_completions",
-    "value_mismatches",
-    "lost_requests",
-    "overloaded_rejections",
-    "deadline_cancellations",
-    "quarantined_tiles",
-    "final_sweep_dirty",
-    "region_rejections",
-];
+/// Every stat key the `stat_min`/`stat_max`/`stat_eq` assertions accept,
+/// derived from the engine's stat table so the parser and the engine
+/// cannot disagree on a name. Totals are summed across all runs.
+pub const STAT_KEYS: &[&str] = &{
+    let mut keys = [""; STATS.len()];
+    let mut i = 0;
+    while i < keys.len() {
+        keys[i] = STATS[i].0;
+        i += 1;
+    }
+    keys
+};
 
 /// A complete declarative scenario.
 #[derive(Debug, Clone, PartialEq)]
@@ -408,6 +352,17 @@ fn opt_u64(value: &JsonValue, ctx: &str, key: &str, default: u64) -> Result<u64,
         None => Ok(default),
         Some(_) => get_u64(value, ctx, key),
     }
+}
+
+/// A `u32` knob: rejected when it does not fit, never truncated.
+fn opt_u32(value: &JsonValue, ctx: &str, key: &str, default: u32) -> Result<u32, ScenarioError> {
+    let n = opt_u64(value, ctx, key, u64::from(default))?;
+    u32::try_from(n).map_err(|_| {
+        ScenarioError(format!(
+            "'{key}' in {ctx} must be at most {} (got {n})",
+            u32::MAX
+        ))
+    })
 }
 
 fn opt_bool(value: &JsonValue, ctx: &str, key: &str, default: bool) -> Result<bool, ScenarioError> {
@@ -630,7 +585,7 @@ fn parse_policy(doc: &JsonValue) -> Result<RecoveryPolicy, ScenarioError> {
         Some(_) => return err("'overload' in 'policy' must be a string"),
     };
     Ok(RecoveryPolicy {
-        max_retries: opt_u64(policy, ctx, "max_retries", u64::from(default.max_retries))? as u32,
+        max_retries: opt_u32(policy, ctx, "max_retries", default.max_retries)?,
         backoff_cycles: opt_u64(policy, ctx, "backoff_cycles", default.backoff_cycles)?,
         backoff_multiplier: opt_u64(
             policy,
@@ -638,24 +593,14 @@ fn parse_policy(doc: &JsonValue) -> Result<RecoveryPolicy, ScenarioError> {
             "backoff_multiplier",
             default.backoff_multiplier,
         )?,
-        quarantine_after: opt_u64(
-            policy,
-            ctx,
-            "quarantine_after",
-            u64::from(default.quarantine_after),
-        )? as u32,
+        quarantine_after: opt_u32(policy, ctx, "quarantine_after", default.quarantine_after)?,
         cpu_fallback: opt_bool(policy, ctx, "cpu_fallback", default.cpu_fallback)?,
         deadline_cycles: opt_u64(policy, ctx, "deadline_cycles", default.deadline_cycles)?,
         queue_capacity: opt_u64(policy, ctx, "queue_capacity", default.queue_capacity)?,
         overload,
         breaker: opt_bool(policy, ctx, "breaker", default.breaker)?,
         supervised: opt_bool(policy, ctx, "supervised", default.supervised)?,
-        restart_budget: opt_u64(
-            policy,
-            ctx,
-            "restart_budget",
-            u64::from(default.restart_budget),
-        )? as u32,
+        restart_budget: opt_u32(policy, ctx, "restart_budget", default.restart_budget)?,
     })
 }
 
@@ -735,22 +680,23 @@ fn parse_regions(doc: &JsonValue) -> Result<RegionsSpec, ScenarioError> {
     };
     let window = match regions.get("window") {
         None => None,
-        Some(JsonValue::Array(items)) => {
-            let bounds: Option<Vec<u32>> = items
-                .iter()
-                .map(|v| v.as_usize().map(|n| n as u32))
-                .collect();
+        Some(value) => {
+            let bounds: Option<Vec<u32>> = value.as_array().and_then(|items| {
+                items
+                    .iter()
+                    .map(|v| v.as_usize().and_then(|n| u32::try_from(n).ok()))
+                    .collect()
+            });
             match bounds.as_deref() {
-                Some([lo, hi]) if lo < hi => Some((*lo, *hi)),
+                Some(&[lo, hi]) if lo < hi => Some((lo, hi)),
                 _ => {
-                    return err("'regions.window' must be a two-element array [lo, hi] \
-                         of column indices with lo < hi")
+                    return err(format!(
+                        "'regions.window' must be a two-element array [lo, hi] \
+                         of column indices (at most {}) with lo < hi",
+                        u32::MAX
+                    ))
                 }
             }
-        }
-        Some(_) => {
-            return err("'regions.window' must be a two-element array [lo, hi] \
-                 of column indices with lo < hi")
         }
     };
     Ok(RegionsSpec {

@@ -441,11 +441,31 @@ fn rejects_unknown_fit_policy_token() {
 
 #[test]
 fn rejects_degenerate_region_window() {
-    let doc = valid_doc().replace(
-        "\"catalog\"",
-        "\"regions\": {\"enabled\": true, \"window\": [12, 1]}, \"catalog\"",
-    );
-    assert_rejects(&doc, &["'regions.window'", "lo < hi"]);
+    // [4294967296, 5] used to truncate to (0, 5) and parse.
+    for window in ["[12, 1]", "[4294967296, 5]"] {
+        let doc = valid_doc().replace(
+            "\"catalog\"",
+            &format!("\"regions\": {{\"enabled\": true, \"window\": {window}}}, \"catalog\""),
+        );
+        assert_rejects(&doc, &["'regions.window'", "lo < hi", "at most 4294967295"]);
+    }
+}
+
+#[test]
+fn rejects_policy_counts_that_overflow_u32() {
+    // Each used to be truncated by an `as u32` cast: 4294967297 parsed
+    // as 1 retry, 4294967296 as 0.
+    for (entry, key) in [
+        ("\"max_retries\": 4294967297", "'max_retries'"),
+        ("\"quarantine_after\": 4294967296", "'quarantine_after'"),
+        ("\"restart_budget\": 4294967296", "'restart_budget'"),
+    ] {
+        let doc = valid_doc().replace(
+            "\"catalog\"",
+            &format!("\"policy\": {{{entry}}}, \"catalog\""),
+        );
+        assert_rejects(&doc, &[key, "'policy'", "at most 4294967295"]);
+    }
 }
 
 #[test]
