@@ -58,7 +58,11 @@ fn arr<T>(items: &[T], f: impl Fn(&T) -> JsonValue) -> JsonValue {
 /// Schema tag of `BENCH_runtime.json`. `v2` is a strict superset of the
 /// untagged `v1` layout: every v1 field survives unchanged and each run
 /// gains a `stages` object with the per-stage wall-clock breakdown
-/// (prepare / gate wait / commit / trace drain).
+/// (prepare / gate wait / commit / trace drain). Each run's
+/// `p50_wait_micros` / `p99_wait_micros` now come from the scheduler's
+/// bucketed queue-wait histogram: exact below 64 µs, and above it at
+/// most 1/32 below the exact nearest-rank sample. The committed
+/// document predates that and still holds exact values.
 pub const RUNTIME_SCHEMA: &str = "presp-bench-runtime/v2";
 
 /// The runtime throughput benchmark's workload shape.

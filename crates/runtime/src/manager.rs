@@ -26,7 +26,6 @@
 
 use crate::cache::{BitstreamCache, CacheStats};
 use crate::device::DeviceCore;
-use crate::driver::DriverEvent;
 use crate::error::Error;
 use crate::protocol;
 use crate::registry::BitstreamRegistry;
@@ -493,14 +492,6 @@ impl ReconfigManager {
         self.tiles.get(&tile).is_some_and(|s| s.services(kind))
     }
 
-    /// The driver lifecycle events recorded on `tile`, oldest first.
-    pub fn driver_events(&self, tile: TileCoord) -> Vec<DriverEvent> {
-        self.tiles
-            .get(&tile)
-            .map(|s| s.driver_events().to_vec())
-            .unwrap_or_default()
-    }
-
     /// Virtual time at which `tile` becomes idle.
     pub fn tile_idle_at(&self, tile: TileCoord) -> u64 {
         self.tiles.get(&tile).map(TileState::idle_at).unwrap_or(0)
@@ -913,34 +904,37 @@ mod tests {
     }
 
     #[test]
-    fn driver_events_are_recorded_per_tile() {
+    fn driver_swaps_are_tracked_per_tile_and_traced() {
+        use presp_events::{Loc, MemorySink, TraceEvent};
         let (mut mgr, tiles) = manager(2);
+        let sink = MemorySink::shared();
+        mgr.soc_mut().attach_tracer(sink.clone());
         mgr.request_reconfiguration(tiles[0], AcceleratorKind::Mac)
             .unwrap();
         mgr.request_reconfiguration(tiles[1], AcceleratorKind::Sort)
             .unwrap();
         mgr.request_reconfiguration(tiles[0], AcceleratorKind::Sort)
             .unwrap();
-        let events = mgr.driver_events(tiles[0]);
+        assert_eq!(mgr.active_driver(tiles[0]), Some(AcceleratorKind::Sort));
+        assert!(!mgr.driver_services(tiles[0], AcceleratorKind::Mac));
+        assert_eq!(mgr.active_driver(tiles[1]), Some(AcceleratorKind::Sort));
+        let at = |t: TileCoord| Loc::new(t.row as u64, t.col as u64);
+        let loads: Vec<(Loc, String, bool)> = presp_events::sink::snapshot(&sink)
+            .into_iter()
+            .filter_map(|r| match r.event {
+                TraceEvent::Reconfiguration { tile, kind, ok, .. } => Some((tile, kind, ok)),
+                _ => None,
+            })
+            .collect();
+        let sort = AcceleratorKind::Sort.name();
         assert_eq!(
-            events,
+            loads,
             vec![
-                DriverEvent::Probed {
-                    tile: tiles[0],
-                    kind: AcceleratorKind::Mac
-                },
-                DriverEvent::Removed {
-                    tile: tiles[0],
-                    kind: AcceleratorKind::Mac
-                },
-                DriverEvent::Probed {
-                    tile: tiles[0],
-                    kind: AcceleratorKind::Sort
-                },
+                (at(tiles[0]), AcceleratorKind::Mac.name(), true),
+                (at(tiles[1]), sort.clone(), true),
+                (at(tiles[0]), sort, true),
             ]
         );
-        assert_eq!(mgr.driver_events(tiles[1]).len(), 1);
-        assert_eq!(mgr.active_driver(tiles[0]), Some(AcceleratorKind::Sort));
     }
 
     #[test]

@@ -166,7 +166,7 @@ pub struct SchedulerStats {
     /// (`1 − largest_free_span / free_columns`; `0` when nothing is
     /// free or regions are disabled).
     pub external_fragmentation: f64,
-    wait_micros: Vec<u64>,
+    wait_micros: WaitHistogram,
 }
 
 impl SchedulerStats {
@@ -182,20 +182,105 @@ impl SchedulerStats {
     /// `p` percent of the samples are ≤ it (rank `⌈p/100·N⌉`,
     /// 1-based). The previous rounded-interpolation index over-reported
     /// small samples — p50 of `[10, 20, 30, 40]` came back 30 instead
-    /// of 20.
+    /// of 20. Samples are kept in a fixed-size log-linear histogram:
+    /// below 64 µs the answer is exact; above, it is the lower bound of
+    /// the sample's bucket, less than 1/32 below the exact sample.
     pub fn wait_percentile_micros(&self, p: f64) -> u64 {
-        if self.wait_micros.is_empty() {
-            return 0;
-        }
-        let mut sorted = self.wait_micros.clone();
-        sorted.sort_unstable();
-        let rank = (p / 100.0 * sorted.len() as f64).ceil() as usize;
-        sorted[rank.clamp(1, sorted.len()) - 1]
+        self.wait_micros.percentile(p)
     }
 
     /// Number of queue-wait samples recorded.
     pub fn wait_samples(&self) -> usize {
-        self.wait_micros.len()
+        self.wait_micros.total as usize
+    }
+}
+
+/// Sample values below `2^6` get a bucket each, so they stay exact.
+const WAIT_EXACT_BITS: u32 = 6;
+const WAIT_EXACT: usize = 1 << WAIT_EXACT_BITS;
+/// log2 of the sub-buckets per power-of-two range above [`WAIT_EXACT`].
+const WAIT_SUB_BITS: u32 = 5;
+const WAIT_SUB: usize = 1 << WAIT_SUB_BITS;
+/// 64 exact buckets, then 32 for each range `[2^e, 2^(e+1))`,
+/// `e = 6..=63`: every `u64` has a bucket.
+const WAIT_BUCKETS: usize = WAIT_EXACT + (64 - WAIT_EXACT_BITS as usize) * WAIT_SUB;
+
+/// Queue-wait samples in log-linear buckets (the HdrHistogram layout):
+/// a constant 15 KiB whatever the number of requests served, O(1) to
+/// record.
+///
+/// A value `v ≥ 64` in `[2^e, 2^(e+1))` falls in one of 32 equal
+/// sub-buckets of width `2^(e−5) ≤ v/32`. A percentile reports its
+/// bucket's lower bound, so it is never above the exact nearest-rank
+/// sample and less than 1/32 of it below.
+#[derive(Clone)]
+struct WaitHistogram {
+    counts: [u64; WAIT_BUCKETS],
+    total: u64,
+}
+
+impl Default for WaitHistogram {
+    fn default() -> WaitHistogram {
+        WaitHistogram {
+            counts: [0; WAIT_BUCKETS],
+            total: 0,
+        }
+    }
+}
+
+impl std::fmt::Debug for WaitHistogram {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("WaitHistogram")
+            .field("samples", &self.total)
+            .finish_non_exhaustive()
+    }
+}
+
+impl WaitHistogram {
+    fn push(&mut self, micros: u64) {
+        self.counts[Self::bucket(micros)] += 1;
+        self.total += 1;
+    }
+
+    fn bucket(micros: u64) -> usize {
+        if micros < WAIT_EXACT as u64 {
+            return micros as usize;
+        }
+        let e = micros.ilog2();
+        let sub = (micros >> (e - WAIT_SUB_BITS)) as usize - WAIT_SUB;
+        WAIT_EXACT + (e - WAIT_EXACT_BITS) as usize * WAIT_SUB + sub
+    }
+
+    fn lower_bound(bucket: usize) -> u64 {
+        let Some(above) = bucket.checked_sub(WAIT_EXACT) else {
+            return bucket as u64;
+        };
+        let e = (above / WAIT_SUB) as u32 + WAIT_EXACT_BITS;
+        ((WAIT_SUB + above % WAIT_SUB) as u64) << (e - WAIT_SUB_BITS)
+    }
+
+    fn percentile(&self, p: f64) -> u64 {
+        if self.total == 0 {
+            return 0;
+        }
+        let rank = ((p / 100.0 * self.total as f64).ceil() as u64).clamp(1, self.total);
+        let mut seen = 0;
+        for (bucket, &count) in self.counts.iter().enumerate() {
+            seen += count;
+            if seen >= rank {
+                return Self::lower_bound(bucket);
+            }
+        }
+        unreachable!("bucket counts sum to the sample total")
+    }
+}
+
+#[cfg(test)]
+impl Extend<u64> for WaitHistogram {
+    fn extend<I: IntoIterator<Item = u64>>(&mut self, samples: I) {
+        for micros in samples {
+            self.push(micros);
+        }
     }
 }
 
@@ -1573,5 +1658,57 @@ mod tests {
         assert_eq!(one.wait_percentile_micros(0.0), 7);
         assert_eq!(one.wait_percentile_micros(50.0), 7);
         assert_eq!(one.wait_percentile_micros(100.0), 7);
+    }
+
+    /// The exact nearest-rank percentile over raw samples: the sort-based
+    /// definition the histogram approximates.
+    fn nearest_rank(samples: &[u64], p: f64) -> u64 {
+        if samples.is_empty() {
+            return 0;
+        }
+        let mut sorted = samples.to_vec();
+        sorted.sort_unstable();
+        let rank = (p / 100.0 * sorted.len() as f64).ceil() as usize;
+        sorted[rank.clamp(1, sorted.len()) - 1]
+    }
+
+    #[test]
+    fn wait_buckets_cover_every_value_in_order() {
+        assert_eq!(WaitHistogram::bucket(u64::MAX), WAIT_BUCKETS - 1);
+        for bucket in 0..WAIT_BUCKETS {
+            let lo = WaitHistogram::lower_bound(bucket);
+            assert_eq!(WaitHistogram::bucket(lo), bucket, "lower bound of {bucket}");
+            if bucket > 0 {
+                assert_eq!(WaitHistogram::bucket(lo - 1), bucket - 1, "{bucket}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+        #[test]
+        fn bucketed_wait_percentile_tracks_the_exact_nearest_rank(
+            raw in proptest::collection::vec((0u64..u64::MAX, 0u32..64), 0..200),
+            p in 0.0f64..100.0,
+        ) {
+            // Spread samples over every magnitude: shift a uniform draw
+            // right by a uniform amount.
+            let samples: Vec<u64> = raw.iter().map(|&(v, shift)| v >> shift).collect();
+            let mut stats = SchedulerStats::default();
+            stats.wait_micros.extend(samples.iter().copied());
+            proptest::prop_assert_eq!(stats.wait_samples(), samples.len());
+            for p in [p, 0.0, 50.0, 99.0, 100.0] {
+                let exact = nearest_rank(&samples, p);
+                let got = stats.wait_percentile_micros(p);
+                if exact < WAIT_EXACT as u64 {
+                    proptest::prop_assert_eq!(got, exact, "p{}", p);
+                } else {
+                    proptest::prop_assert!(
+                        got <= exact && exact - got <= exact / 32,
+                        "p{p}: bucketed {got} vs exact {exact}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -979,8 +979,16 @@ mod tests {
             ..supervised_policy()
         };
         let (mgr, tiles) = boot_with(1, policy, 1);
-        mgr.set_worker_fault_plan(Some(WorkerFaultPlan::scripted(&[(0, WorkerFault::Hang)])));
+        // A's claimant stalls before preparing, so B is admitted, with a
+        // deadline 1 virtual cycle out, before A commits. (A hang would
+        // be stolen and redispatched at once, and A could commit before
+        // B is stamped.)
+        mgr.set_worker_fault_plan(Some(WorkerFaultPlan::scripted(&[(
+            0,
+            WorkerFault::Stall { micros: 500_000 },
+        )])));
         let a = mgr.submit_reconfigure(tiles[0], AcceleratorKind::Mac);
+        wait_until(|| mgr.supervisor_stats().stalls_injected == 1);
         let b = mgr.submit_execute(
             tiles[0],
             AcceleratorKind::Sort,
@@ -1049,9 +1057,14 @@ mod tests {
             ..supervised_policy()
         };
         let (mgr, tiles) = boot_with(1, policy, 1);
-        mgr.set_worker_fault_plan(Some(WorkerFaultPlan::scripted(&[(0, WorkerFault::Hang)])));
+        // As in the reject test: A's claimant stalls, so the tile stays
+        // checked out while B and C arrive.
+        mgr.set_worker_fault_plan(Some(WorkerFaultPlan::scripted(&[(
+            0,
+            WorkerFault::Stall { micros: 500_000 },
+        )])));
         let a = mgr.submit_reconfigure(tiles[0], AcceleratorKind::Mac);
-        wait_until(|| mgr.supervisor_stats().hangs_injected == 1);
+        wait_until(|| mgr.supervisor_stats().stalls_injected == 1);
         let b = mgr.submit_reconfigure(tiles[0], AcceleratorKind::Sort);
         // C displaces the oldest queued request (B): B's waiter learns it
         // was shed, C takes the slot and completes.

@@ -19,7 +19,6 @@
 //! path — a boundary the `tile-shard-doorway` rule in `analyze.json`
 //! enforces.
 
-use crate::driver::DriverEvent;
 use presp_accel::catalog::AcceleratorKind;
 use presp_floorplan::RegionLease;
 use presp_soc::config::TileCoord;
@@ -49,14 +48,13 @@ pub enum TileHealth {
 /// Everything the runtime tracks about one reconfigurable tile.
 ///
 /// The fields mirror the old manager's per-tile maps one for one: the
-/// driver slot (with its probe/remove event log), the virtual-time idle
-/// horizon, the health state machine, the quarantine flag and the
-/// consecutive-failure streak that feeds the quarantine policy.
+/// active-driver slot, the virtual-time idle horizon, the health state
+/// machine, the quarantine flag and the consecutive-failure streak that
+/// feeds the quarantine policy.
 #[derive(Debug, Clone)]
 pub struct TileState {
     coord: TileCoord,
     driver: Option<AcceleratorKind>,
-    driver_events: Vec<DriverEvent>,
     idle_at: u64,
     health: TileHealth,
     quarantined: bool,
@@ -80,7 +78,6 @@ impl TileState {
         TileState {
             coord,
             driver: None,
-            driver_events: Vec::new(),
             idle_at: 0,
             health: TileHealth::Healthy,
             quarantined: false,
@@ -106,32 +103,22 @@ impl TileState {
         self.driver == Some(kind)
     }
 
-    /// Unregisters the driver (before reconfiguration). From here until
-    /// the next probe, submissions fail fast instead of touching a tile
-    /// that is being rewritten.
+    /// Unregisters the driver (before reconfiguration).
+    ///
+    /// ESP generates one driver per accelerator, so on a DPR system the
+    /// driver bound to a tile must follow the accelerator. From here
+    /// until the next probe, submissions fail fast instead of reaching a
+    /// tile that is being rewritten through a stale driver, the classic
+    /// DPR software bug.
     pub fn remove_driver(&mut self) -> Option<AcceleratorKind> {
-        let removed = self.driver.take();
-        if let Some(kind) = removed {
-            self.driver_events.push(DriverEvent::Removed {
-                tile: self.coord,
-                kind,
-            });
-        }
-        removed
+        self.driver.take()
     }
 
-    /// Probes the driver for `kind` (after reconfiguration).
+    /// Probes the driver for `kind` (after the DFXC interrupt reports
+    /// the new accelerator loaded). Only now does the tile accept work
+    /// for `kind`; work for the outgoing kind can no longer reach it.
     pub fn probe_driver(&mut self, kind: AcceleratorKind) {
         self.driver = Some(kind);
-        self.driver_events.push(DriverEvent::Probed {
-            tile: self.coord,
-            kind,
-        });
-    }
-
-    /// The recorded driver lifecycle events, oldest first.
-    pub fn driver_events(&self) -> &[DriverEvent] {
-        &self.driver_events
     }
 
     /// Virtual time at which the tile becomes idle.
@@ -231,19 +218,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn driver_swap_records_events_in_order() {
+    fn driver_swap_follows_the_accelerator() {
         let mut t = TileState::new(TileCoord::new(1, 0));
         assert_eq!(t.active_driver(), None);
         t.probe_driver(AcceleratorKind::Mac);
         assert!(t.services(AcceleratorKind::Mac));
         assert!(!t.services(AcceleratorKind::Sort));
         assert_eq!(t.remove_driver(), Some(AcceleratorKind::Mac));
+        assert_eq!(t.active_driver(), None, "a removed driver serves nothing");
+        assert!(!t.services(AcceleratorKind::Mac));
         t.probe_driver(AcceleratorKind::Sort);
-        assert_eq!(t.driver_events().len(), 3);
-        // Removing an empty slot records nothing.
+        assert_eq!(t.active_driver(), Some(AcceleratorKind::Sort));
+        assert!(t.services(AcceleratorKind::Sort));
+        assert!(!t.services(AcceleratorKind::Mac));
+        // Removing an empty slot is a no-op.
         let mut empty = TileState::new(TileCoord::new(2, 0));
         assert_eq!(empty.remove_driver(), None);
-        assert!(empty.driver_events().is_empty());
+        assert_eq!(empty.active_driver(), None);
     }
 
     #[test]

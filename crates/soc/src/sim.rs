@@ -120,21 +120,6 @@ pub struct RegionMoveRun {
     pub delta: i64,
 }
 
-/// One configuration-memory upset applied by the fault plan's SEU stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SeuRecord {
-    /// Cycle the upset struck.
-    pub cycle: u64,
-    /// Upset frame.
-    pub addr: FrameAddress,
-    /// Word index within the frame.
-    pub word: usize,
-    /// Flipped bit.
-    pub bit: u32,
-    /// Second flipped bit of a double-bit upset, if any.
-    pub second_bit: Option<u32>,
-}
-
 /// Timing and outcome of one scrubber readback pass over a set of frames.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScrubReport {
@@ -155,15 +140,6 @@ impl ScrubReport {
     pub fn is_clean(&self) -> bool {
         self.corrected.is_empty() && self.uncorrectable.is_empty()
     }
-}
-
-/// An interrupt delivered to the CPU.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IrqEvent {
-    /// Source tile.
-    pub source: TileCoord,
-    /// Delivery cycle.
-    pub cycle: u64,
 }
 
 /// Per-tile simulation state.
@@ -193,7 +169,6 @@ pub struct Soc {
     clock: VirtualClock,
     tracer: Tracer,
     meter: EnergyMeter,
-    irq_log: Vec<IrqEvent>,
     fault_plan: Option<FaultPlan>,
     decoupled_rejections: u64,
     /// Union of every frame each tile's successful loads have written,
@@ -201,7 +176,6 @@ pub struct Soc {
     tile_regions: HashMap<TileCoord, Vec<FrameAddress>>,
     /// Per-tile golden (known-good, post-load) frame images.
     golden: HashMap<TileCoord, RegionSnapshot>,
-    seu_log: Vec<SeuRecord>,
 }
 
 impl Soc {
@@ -250,12 +224,10 @@ impl Soc {
             clock: VirtualClock::new(),
             tracer: Tracer::disabled(),
             meter,
-            irq_log: Vec::new(),
             fault_plan: None,
             decoupled_rejections: 0,
             tile_regions: HashMap::new(),
             golden: HashMap::new(),
-            seu_log: Vec::new(),
         })
     }
 
@@ -333,11 +305,6 @@ impl Soc {
         coords
     }
 
-    /// Interrupts delivered so far.
-    pub fn irq_log(&self) -> &[IrqEvent] {
-        &self.irq_log
-    }
-
     /// The DFX controller (for status inspection).
     pub fn dfxc(&self) -> &Dfxc {
         &self.dfxc
@@ -361,11 +328,6 @@ impl Soc {
     /// their own hooks, e.g. registry staleness, through this).
     pub fn fault_plan_mut(&mut self) -> Option<&mut FaultPlan> {
         self.fault_plan.as_mut()
-    }
-
-    /// Upsets injected into configuration memory so far, in arrival order.
-    pub fn seu_log(&self) -> &[SeuRecord] {
-        &self.seu_log
     }
 
     /// Frame addresses of `tile`'s reconfigurable region: the union of
@@ -629,22 +591,12 @@ impl Soc {
                 .config_memory_mut()
                 .corrupt_bit(addr, word, upset.bit)
                 .expect("configured address with bounded word/bit is valid");
-            let second_bit = if upset.double_bit {
+            if upset.double_bit {
                 self.dfxc
                     .config_memory_mut()
                     .corrupt_bit(addr, word, upset.second_bit)
                     .expect("configured address with bounded word/bit is valid");
-                Some(upset.second_bit)
-            } else {
-                None
-            };
-            self.seu_log.push(SeuRecord {
-                cycle: upset.cycle,
-                addr,
-                word,
-                bit: upset.bit,
-                second_bit,
-            });
+            }
             self.tracer
                 .instant(ClockDomain::SocCycles, upset.cycle, || {
                     TraceEvent::SeuInjected {
@@ -815,10 +767,6 @@ impl Soc {
     fn deliver_irq(&mut self, at: u64, source: TileCoord) -> u64 {
         let cpu = self.config.cpu();
         let t = self.noc_transfer(at, source, cpu, 8, Plane::Irq);
-        self.irq_log.push(IrqEvent {
-            source,
-            cycle: t.end,
-        });
         self.tracer
             .instant(ClockDomain::SocCycles, t.end, || TraceEvent::Irq {
                 source: loc(source),
@@ -1344,6 +1292,30 @@ mod tests {
         Soc::new(&cfg).unwrap()
     }
 
+    /// Attaches an in-memory trace sink to `soc` and returns it.
+    fn traced(soc: &mut Soc) -> std::sync::Arc<std::sync::Mutex<presp_events::MemorySink>> {
+        let sink = presp_events::MemorySink::shared();
+        soc.attach_tracer(sink.clone());
+        sink
+    }
+
+    /// `(frame, double_bit)` of every `seu.injected` record, in order.
+    fn injected_seus(sink: &std::sync::Mutex<presp_events::MemorySink>) -> Vec<(u64, bool)> {
+        presp_events::sink::snapshot(sink)
+            .into_iter()
+            .filter_map(|r| match r.event {
+                TraceEvent::SeuInjected {
+                    frame, double_bit, ..
+                } => Some((frame, double_bit)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn packed(region: &[FrameAddress]) -> Vec<u64> {
+        region.iter().map(|a| u64::from(a.pack())).collect()
+    }
+
     fn mac_bitstream(soc: &Soc, column: u32) -> Bitstream {
         let device = soc.part().device();
         let mut b = BitstreamBuilder::new(&device, BitstreamKind::Partial);
@@ -1361,6 +1333,7 @@ mod tests {
     #[test]
     fn static_accelerator_computes_and_interrupts() {
         let mut soc = mac_soc();
+        let sink = traced(&mut soc);
         let tile = soc.accelerator_tiles()[0];
         let run = soc
             .run_accelerator(
@@ -1374,8 +1347,14 @@ mod tests {
         assert_eq!(run.value, AccelValue::Scalar(128.0));
         assert!(run.end > run.start);
         assert!(run.dma_cycles > 0 && run.compute_cycles > 0);
-        assert_eq!(soc.irq_log().len(), 1);
-        assert_eq!(soc.irq_log()[0].source, tile);
+        let irqs: Vec<(u64, Loc)> = presp_events::sink::snapshot(&sink)
+            .into_iter()
+            .filter_map(|r| match r.event {
+                TraceEvent::Irq { source } => Some((r.ts, source)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(irqs, vec![(run.end, loc(tile))]);
     }
 
     #[test]
@@ -1776,11 +1755,14 @@ mod tests {
         let mut plan = FaultPlan::new(7, FaultConfig::uniform(0.0));
         plan.force_seu(r.end + 10, false);
         soc.set_fault_plan(Some(plan));
+        let sink = traced(&mut soc);
         let report = soc.scrub_frames_at(&region, r.end + 100).unwrap();
         assert_eq!(report.corrected.len(), 1);
         assert!(report.uncorrectable.is_empty());
-        assert_eq!(soc.seu_log().len(), 1);
-        assert!(region.contains(&soc.seu_log()[0].addr));
+        let seus = injected_seus(&sink);
+        assert_eq!(seus.len(), 1);
+        assert!(packed(&region).contains(&seus[0].0));
+        assert!(!seus[0].1);
         // A second pass reads back clean.
         let report = soc.scrub_frames_at(&region, report.end).unwrap();
         assert!(report.is_clean());
@@ -1799,10 +1781,11 @@ mod tests {
         let mut plan = FaultPlan::new(11, FaultConfig::uniform(0.0));
         plan.force_seu(r.end + 1, true);
         soc.set_fault_plan(Some(plan));
+        let sink = traced(&mut soc);
         let region = soc.tile_region(tile);
         let report = soc.scrub_frames_at(&region, r.end + 50).unwrap();
         assert_eq!(report.uncorrectable.len(), 1);
-        assert!(soc.seu_log()[0].second_bit.is_some());
+        assert!(injected_seus(&sink)[0].1, "the upset flipped two bits");
         // ECC cannot fix it; the golden store can.
         assert_eq!(soc.restore_golden(tile).unwrap(), 4);
         let report = soc.scrub_frames_at(&region, report.end).unwrap();
@@ -1876,14 +1859,16 @@ mod tests {
             .unwrap();
         let plan = FaultPlan::new(42, FaultConfig::uniform(0.0).with_seu(300.0, 0.0));
         soc.set_fault_plan(Some(plan));
+        let sink = traced(&mut soc);
         let region = soc.tile_region(tile);
         let report = soc.scrub_frames_at(&region, r.end + 50_000).unwrap();
-        assert!(
-            !soc.seu_log().is_empty(),
-            "the seeded stream produced upsets"
-        );
-        for record in soc.seu_log() {
-            assert!(region.contains(&record.addr), "upsets strike active frames");
+        let seus = injected_seus(&sink);
+        assert!(!seus.is_empty(), "the seeded stream produced upsets");
+        for (frame, _) in seus {
+            assert!(
+                packed(&region).contains(&frame),
+                "upsets strike active frames"
+            );
         }
         // Everything lands in the scrubbed region, so the pass sees every
         // upset (two hits on one word escalate to uncorrectable instead).

@@ -152,32 +152,39 @@ fn reconfigurations_serialize_on_the_shared_icap() {
 }
 
 #[test]
-fn driver_events_record_the_swap_history() {
-    use presp::runtime::driver::DriverEvent;
+fn driver_swaps_follow_the_traced_reconfigurations() {
+    use presp::events::{sink, Loc, MemorySink, TraceEvent};
     let (design, mut manager) = flow_deployment();
     let tile = design.config.reconfigurable_tiles()[0];
+    let trace = MemorySink::shared();
+    manager.soc_mut().attach_tracer(trace.clone());
+    assert_eq!(manager.active_driver(tile), None);
     manager
         .request_reconfiguration(tile, AcceleratorKind::Mac)
         .unwrap();
+    assert_eq!(manager.active_driver(tile), Some(AcceleratorKind::Mac));
     manager
         .request_reconfiguration(tile, AcceleratorKind::Sort)
         .unwrap();
-    let events = manager.driver_events(tile);
+    assert_eq!(manager.active_driver(tile), Some(AcceleratorKind::Sort));
+    assert!(manager.driver_services(tile, AcceleratorKind::Sort));
+    assert!(
+        !manager.driver_services(tile, AcceleratorKind::Mac),
+        "the outgoing driver was removed"
+    );
+    let loads: Vec<(Loc, String, bool)> = sink::snapshot(&trace)
+        .into_iter()
+        .filter_map(|r| match r.event {
+            TraceEvent::Reconfiguration { tile, kind, ok, .. } => Some((tile, kind, ok)),
+            _ => None,
+        })
+        .collect();
+    let at = Loc::new(tile.row as u64, tile.col as u64);
     assert_eq!(
-        events,
+        loads,
         vec![
-            DriverEvent::Probed {
-                tile,
-                kind: AcceleratorKind::Mac
-            },
-            DriverEvent::Removed {
-                tile,
-                kind: AcceleratorKind::Mac
-            },
-            DriverEvent::Probed {
-                tile,
-                kind: AcceleratorKind::Sort
-            },
+            (at, AcceleratorKind::Mac.name(), true),
+            (at, AcceleratorKind::Sort.name(), true),
         ]
     );
 }
